@@ -63,6 +63,8 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
              "photon_energy_j": "float", "beam_radius_m": "float",
              "solid_angle_sr": "float", "grid_points": "int",
              "i_sat_ref_w_m2": "float"},
+    # evolve_tol, decay_rel_tol and t_max_correlation are ignored; they
+    # still parse so that older scenario files run
     "numerics": {"evolve_tol": "float", "decay_rel_tol": "float",
                  "t_max_correlation": "float", "n_harmonics": "int"},
     "output": {"path": "str", "format": "str"},
@@ -99,9 +101,6 @@ class ScenarioConfig:
     mode: str = "closed_form"
     self_consistent: bool = False
     cell: Optional[CellConfig] = None
-    evolve_tol: float = 1e-8
-    decay_rel_tol: float = 1e-8
-    t_max_correlation: float = 40000.0
     n_harmonics: int = 2
     output_path: Optional[str] = None
     output_format: str = "csv"
@@ -326,9 +325,6 @@ def parse_config(path: str) -> ScenarioConfig:
         mode=scan.get("mode", "closed_form"),
         self_consistent=scan.get("self_consistent", False),
         cell=cell,
-        evolve_tol=num.get("evolve_tol", 1e-8),
-        decay_rel_tol=num.get("decay_rel_tol", 1e-8),
-        t_max_correlation=num.get("t_max_correlation", 40000.0),
         n_harmonics=num.get("n_harmonics", 2),
         output_path=out.get("path"), output_format=fmt,
         raw_text=text, source_sha256=hashlib.sha256(raw).hexdigest(),
@@ -382,8 +378,7 @@ def _run_populations(cfg: ScenarioConfig) -> ResultTable:
         H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p)
     L = build_liouvillian(H, build_collapse(scheme))
     t_grid = np.linspace(0.0, cfg.t_final, cfg.t_points)
-    ev = evolve(L, equal_ground_state(scheme), cfg.t_final, tol=cfg.evolve_tol,
-                t_eval=t_grid)
+    ev = evolve(L, equal_ground_state(scheme), cfg.t_final, t_eval=t_grid)
     cols: List[Tuple[str, str]] = [("t", "1/Gamma")]
     cols += [(f"pop_{_sublevel_label(scheme, i)}", "1")
              for i in range(scheme.dim)]
@@ -429,23 +424,19 @@ def _run_spectrum(cfg: ScenarioConfig) -> ResultTable:
         H = two_level_hamiltonian(cfg.omega_p, cfg.delta_p)
         L = build_liouvillian(H, two_level_collapse())
         rho = steady_state(L)
-        spec = correlation_spectrum(L, rho, two_level_dipole(), delta_grid,
-                                    decay_rel_tol=cfg.decay_rel_tol,
-                                    t_max=cfg.t_max_correlation)
+        spec = correlation_spectrum(L, rho, two_level_dipole(), delta_grid)
         return ResultTable(columns=[("delta", "Gamma"), ("absorption", "arb")],
                            rows=[(d, a) for d, a in zip(spec.delta,
                                                         spec.absorption)])
     scheme = cfg.scheme()
     if cfg.probe_polarization == "parallel":
         rho, L = pump_only_steady_state(scheme, cfg.omega_p, cfg.delta_p)
-        spec = correlation_spectrum(L, rho, parallel_dipole(scheme), delta_grid,
-                                    decay_rel_tol=cfg.decay_rel_tol,
-                                    t_max=cfg.t_max_correlation)
+        spec = correlation_spectrum(L, rho, parallel_dipole(scheme),
+                                    delta_grid)
         return ResultTable(columns=[("delta", "Gamma"), ("absorption", "arb")],
                            rows=[(d, a) for d, a in zip(spec.delta,
                                                         spec.absorption)])
     pg = perpendicular_gain_spectrum(scheme, cfg.fields(), delta_grid,
-                                     t_max=cfg.t_max_correlation,
                                      n_harmonics=cfg.n_harmonics)
     return ResultTable(
         columns=[("delta", "Gamma"), ("absorption", "arb"),

@@ -16,12 +16,10 @@ import pytest
 
 from mirrorless import (FieldConfig, branching_ratios, build_collapse,
                         build_hamiltonian, build_liouvillian, build_scheme,
-                        equal_ground_state, evolve, inversion_scan,
-                        omega_from_saturation, pump_only_steady_state,
-                        steady_state)
+                        evolve, inversion_scan, omega_from_saturation,
+                        pump_only_steady_state, steady_state)
 from mirrorless.dynamics import density_matrix_defects
-from mirrorless.levels import (pump_hamiltonian, two_level_collapse,
-                               two_level_hamiltonian)
+from mirrorless.levels import two_level_collapse, two_level_hamiltonian
 from mirrorless.propagation import CellConfig, _closed_form, output_curve, \
     propagate
 from mirrorless.spectra import (correlation_spectrum,
@@ -43,18 +41,6 @@ def _report(num, label, detail=""):
 def _fail(num, label, detail):
     print(f"\nACCEPTANCE {num} {label}: FAIL {detail}")
     pytest.fail(f"criterion {num} ({label}): {detail}")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens once here so criterion timings measure the
-    # algorithms, not compiler startup
-    scheme = build_scheme(0, 1)
-    L = build_liouvillian(pump_hamiltonian(scheme, 1.0, 0.0),
-                          build_collapse(scheme))
-    evolve(L, equal_ground_state(scheme), 1.0, tol=1e-8)
-    correlation_spectrum(L, steady_state(L), perpendicular_dipole(scheme),
-                         [0.0, 1.0])
 
 
 def _gain_windows(absorption, grid):

@@ -211,6 +211,48 @@ omega_p_points = 4
     assert _strip_wall_time(out1.read_text()) == _strip_wall_time(out2.read_text())
 
 
+MINIMAL_SPECTRUM = """
+[transition]
+f_ground = 1
+f_excited = 2
+
+[fields]
+omega_p = 3
+delta_p = 0.5
+
+[scan]
+workflow = spectrum
+delta_min = -4
+delta_max = 4
+delta_points = 9
+"""
+
+IGNORED_NUMERICS_KEYS = """
+[numerics]
+evolve_tol = 1e-3
+decay_rel_tol = 1e-2
+t_max_correlation = 5
+"""
+
+
+def test_ignored_numerics_keys_change_nothing(tmp_path):
+    from mirrorless.cli import main
+    for name, body in [("populations", MINIMAL_POPULATIONS),
+                       ("spectrum", MINIMAL_SPECTRUM)]:
+        plain = write_config(tmp_path, body, f"{name}.ini")
+        legacy = write_config(tmp_path, body + IGNORED_NUMERICS_KEYS,
+                              f"{name}_legacy.ini")
+        out1, out2 = tmp_path / f"{name}.csv", tmp_path / f"{name}_legacy.csv"
+        assert main([plain, "--output", str(out1)]) == EXIT_OK
+        assert main([legacy, "--output", str(out2)]) == EXIT_OK
+        # the config hash names the input file, which differs by design
+        a, b = (_strip_wall_time(o.read_text()).splitlines()
+                for o in (out1, out2))
+        assert [l for l in a if not l.startswith("# config_sha256")] == \
+            [l for l in b if not l.startswith("# config_sha256")]
+        assert len(a) > 5
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "mirrorless.cli", "--help"],
                           capture_output=True, text=True)

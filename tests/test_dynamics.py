@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from mirrorless import (DegenerateSteadyStateError, FieldConfig,
+from mirrorless import (DegenerateSteadyStateError, FieldConfig, Liouvillian,
                         build_collapse, build_hamiltonian, build_liouvillian,
                         build_scheme, equal_ground_state, evolve,
                         inversion_scan, omega_from_saturation,
@@ -214,6 +216,76 @@ def test_evolve_rejects_offset_t_eval(scheme8):
                           build_collapse(scheme8))
     with pytest.raises(ValueError, match="t_eval"):
         evolve(L, equal_ground_state(scheme8), 10.0, t_eval=[5.0, 10.0])
+
+
+def _random_stable_generator(rng, d):
+    # oscillation plus uniform decay, on a d x d "density matrix"
+    n = d * d
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    herm = 0.5 * (a + a.conj().T)
+    return Liouvillian(matrix=-1j * herm - 0.3 * np.eye(n), dim=d)
+
+
+def test_evolve_matches_scipy(rng):
+    L = _random_stable_generator(rng, 4)
+    rho0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    uniform = np.linspace(0.0, 5.0, 11)
+    uneven = np.array([0.0, 0.3, 1.1, 2.0, 3.7, 5.0])
+    for t in (uniform, uneven):
+        ev = evolve(L, rho0, 5.0, t_eval=t, hermitize=False)
+        ref = solve_ivp(lambda _, y: L.matrix @ y, (0, 5.0), rho0.reshape(-1),
+                        t_eval=t, rtol=1e-12, atol=1e-14, method="DOP853")
+        assert np.max(np.abs(ev.states.reshape(len(t), -1) - ref.y.T)) < 1e-8
+
+
+def test_evolve_matches_expm(rng):
+    L = _random_stable_generator(rng, 3)
+    rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ev = evolve(L, rho0, 1.7, t_eval=[0.0, 1.7], hermitize=False)
+    ref = expm(1.7 * L.matrix) @ rho0.reshape(-1)
+    assert np.max(np.abs(ev.final().reshape(-1) - ref)) < 1e-9
+
+
+def test_evolve_uniform_grid_uses_one_propagator(scheme8, monkeypatch):
+    from mirrorless import dynamics
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    L = build_liouvillian(pump_hamiltonian(scheme8, 1.0, 0.0),
+                          build_collapse(scheme8))
+    # step differences of a long linspace vary by ~1e-12 relative
+    evolve(L, equal_ground_state(scheme8), 1000.0, n_samples=20001)
+    assert len(calls) == 1
+    evolve(L, equal_ground_state(scheme8), 1.0, t_eval=[0.0, 0.1, 0.3, 1.0])
+    assert len(calls) == 4
+
+
+def test_evolve_hermitian_samples(rng):
+    d = 4
+    herm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    H = 0.5 * (herm + herm.conj().T)
+    eye = np.eye(d)
+    L = Liouvillian(matrix=-1j * (np.kron(H, eye) - np.kron(eye, H.T)), dim=d)
+    rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho0[0, 1] = 1e-9  # a non-Hermitian defect that the repair must remove
+    ev = evolve(L, rho0, 10.0, n_samples=21)
+    for m in ev.states[1:]:
+        assert np.max(np.abs(m - m.conj().T)) < 1e-14
+
+
+def test_evolve_rejects_bad_grid(scheme8):
+    L = build_liouvillian(pump_hamiltonian(scheme8, 1.0, 0.0),
+                          build_collapse(scheme8))
+    for t_eval, match in [([], "nonempty 1-D"),
+                          ([[0.0, 1.0], [2.0, 3.0]], "nonempty 1-D"),
+                          ([0.0, 1.0, 0.5], "strictly increasing"),
+                          ([0.0, 1.0, 1.0], "strictly increasing")]:
+        with pytest.raises(ValueError, match=match):
+            evolve(L, equal_ground_state(scheme8), 1.0, t_eval=t_eval)
 
 
 def test_half_integer_line_dynamics():

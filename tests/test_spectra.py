@@ -8,7 +8,7 @@ from mirrorless import FieldConfig, build_liouvillian, build_scheme, \
 from mirrorless.levels import (probe_raising, pump_hamiltonian,
                                two_level_collapse, two_level_hamiltonian)
 from mirrorless.spectra import (CorrelationWindowError, DressedLadder,
-                                correlation_functions, correlation_spectrum,
+                                correlation_spectrum,
                                 degenerate_probe_steady_state, dressed_ladder,
                                 min_absorption_scan, parallel_dipole,
                                 perpendicular_dipole,
@@ -16,7 +16,8 @@ from mirrorless.spectra import (CorrelationWindowError, DressedLadder,
                                 resolvent_spectrum, two_level_dipole,
                                 weak_probe_absorption)
 
-from oracles import two_level_absorption
+from oracles import (commutator_correlation_oracle, half_fourier_oracle,
+                     two_level_absorption)
 
 
 def _tls(omega, delta):
@@ -66,9 +67,52 @@ def test_regression_matches_resolvent():
 def test_commutator_correlation_initial_value_real():
     scheme = build_scheme(1, 2)
     rho, L = pump_only_steady_state(scheme, 3.0, 0.5)
-    taus, c, _, _ = correlation_functions(L, rho, perpendicular_dipole(scheme),
-                                          dt=0.02, t_window=30.0)
+    _, c, _ = commutator_correlation_oracle(
+        L.matrix, rho, perpendicular_dipole(scheme).d_plus, dt=0.02,
+        t_window=0.02)
     assert abs(c[0].imag) < 1e-10 * max(abs(c[0]), 1e-30)
+
+
+@pytest.mark.parametrize("case", ["two-level", "8-level"])
+def test_regression_matches_time_domain_oracle(case):
+    if case == "two-level":
+        (L, rho), d_op, t_window = _tls(4.0, 2.0), two_level_dipole(), 60.0
+    else:
+        scheme = build_scheme(1, 2)
+        rho, L = pump_only_steady_state(scheme, 3.0, 0.5)
+        d_op, t_window = perpendicular_dipole(scheme), 120.0
+    grid = np.linspace(-7, 7, 57)
+    dt = 0.01
+    taus, c, slopes = commutator_correlation_oracle(L.matrix, rho, d_op.d_plus,
+                                                    dt, t_window)
+    oracle = np.real(half_fourier_oracle(taus, c, -grid, slopes))
+    spec = correlation_spectrum(L, rho, d_op, grid, normalized=False)
+    # the oracle's own error: the neglected tail beyond the window (the
+    # trailing tenth of |C| decaying at the slowest rate) plus the corrected
+    # trapezoid's dt^4/720 * int |f^(4)|, taking
+    # |f^(4)| <= (|omega| + |L|)^4 |C| for f = e^{i omega tau} C
+    eigs = np.linalg.eigvals(L.matrix)
+    rates = -eigs.real[eigs.real < -1e-9]
+    truncation = np.max(np.abs(c[-len(c) // 10:])) / rates.min()
+    reach = np.max(np.abs(grid)) + np.max(np.abs(eigs))
+    quadrature = dt ** 4 / 720 * reach ** 4 * np.sum(np.abs(c)) * dt
+    err = np.max(np.abs(spec.absorption - oracle))
+    assert err <= 2 * (truncation + quadrature)
+
+
+def test_exceptional_point_matches_dense_solve():
+    # Omega = Gamma/4 on resonance: the two population-coherence modes merge
+    # into a defective eigenvalue -3/4, where eigenvector-based routes lose
+    # digits; the Schur route stays at rounding level
+    L, rho = _tls(0.25, 0.0)
+    d_op = two_level_dipole()
+    grid = np.linspace(-3, 3, 61)
+    M = L.matrix + np.outer(rho.reshape(-1), np.eye(2).reshape(-1))
+    x0 = (d_op.d_plus @ rho - rho @ d_op.d_plus).reshape(-1)
+    ref = [-np.real(np.trace(d_op.d_minus @ np.linalg.solve(
+        M - 1j * delta * np.eye(4), x0).reshape(2, 2))) for delta in grid]
+    spec = correlation_spectrum(L, rho, d_op, grid, normalized=False)
+    assert np.max(np.abs(spec.absorption - ref)) <= 1e-13
 
 
 def test_mollow_resonant_sidebands_at_rabi():
