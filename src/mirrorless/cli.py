@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -197,6 +196,15 @@ def _grid(vals: Dict, prefix: str, scale: str = "linear") -> Optional[np.ndarray
     return np.linspace(lo, hi, n)
 
 
+def _require_sign(vals: Dict, section: str, keys: Sequence[str],
+                  positive: bool) -> None:
+    for key in keys:
+        v = vals.get(key)
+        if v is not None and not (v > 0 if positive else v >= 0):
+            raise ConfigError(f"[{section}] {key} = {v!r}: must be "
+                              + ("positive" if positive else "nonnegative"))
+
+
 def parse_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario file (INI key = value sections)."""
     try:
@@ -252,6 +260,16 @@ def parse_config(path: str) -> ScenarioConfig:
 
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
+    if not two_level:
+        try:
+            build_scheme(tr["f_ground"], tr["f_excited"])
+        except ValueError as exc:
+            raise ConfigError(f"[transition] f_ground = {tr['f_ground']:g}, "
+                              f"f_excited = {tr['f_excited']:g}: {exc}") from exc
+    _require_sign(fl, "fields", ("saturation", "omega_p", "omega_pr"), False)
+    _require_sign(scan, "scan", ("t_final",), True)
+    _require_sign(scan, "scan", ("input_intensity", "seed_intensity", "s_min",
+                                 "omega_p_min", "pump_min"), False)
 
     delta_p = fl.get("delta_p", 0.0)
     if "saturation" in fl:
@@ -284,6 +302,9 @@ def parse_config(path: str) -> ScenarioConfig:
         if cell_missing:
             raise ConfigError("missing required [cell] keys: "
                               + ", ".join(cell_missing))
+        _require_sign(cl, "cell", [k for k in cl if k != "grid_points"], True)
+        if cl.get("grid_points", 200) < 2:
+            raise ConfigError("[cell] grid_points must be >= 2")
         if "photon_energy_j" in cl:
             photon_energy = cl["photon_energy_j"]
         else:
@@ -293,16 +314,21 @@ def parse_config(path: str) -> ScenarioConfig:
             solid_angle = cl["solid_angle_sr"]
         else:
             solid_angle = np.pi * cl["beam_radius_m"] ** 2 / cl["length_m"] ** 2
-        cell = CellConfig(length=cl["length_m"], density=cl["density_m3"],
-                          gamma_phys=cl["gamma_rad_s"],
-                          photon_energy=photon_energy,
-                          solid_angle=solid_angle,
-                          grid=cl.get("grid_points", 200),
-                          i_sat_ref=cl.get("i_sat_ref_w_m2"))
+        try:
+            cell = CellConfig(length=cl["length_m"], density=cl["density_m3"],
+                              gamma_phys=cl["gamma_rad_s"],
+                              photon_energy=photon_energy,
+                              solid_angle=solid_angle,
+                              grid=cl.get("grid_points", 200),
+                              i_sat_ref=cl.get("i_sat_ref_w_m2"))
+        except ValueError as exc:
+            raise ConfigError(f"[cell] {exc}") from exc
     elif workflow in _CELL_WORKFLOWS:
         raise ConfigError(f"workflow '{workflow}' requires the [cell] section")
 
     num = vals["numerics"]
+    if num.get("n_harmonics", 2) < 1:
+        raise ConfigError("[numerics] n_harmonics must be >= 1")
     out = vals["output"]
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -353,6 +379,12 @@ def _validate_workflow_inputs(cfg: ScenarioConfig) -> None:
     if cfg.two_level and cfg.probe_polarization != "parallel":
         raise ConfigError("the two-level reference atom has no orthogonal "
                           "polarization; set probe_polarization = parallel")
+    if cfg.mode not in ("closed_form", "numeric"):
+        raise ConfigError(f"[scan] mode must be closed_form or numeric, got "
+                          f"{cfg.mode!r}")
+    if cfg.self_consistent and cfg.mode != "numeric":
+        raise ConfigError("[scan] self_consistent = true requires "
+                          "mode = numeric")
     if cfg.workflow == "populations" and cfg.t_points < 2:
         raise ConfigError("empty grid: t_points must be >= 2")
 
@@ -445,21 +477,13 @@ def _run_spectrum(cfg: ScenarioConfig) -> ResultTable:
                                            pg.weak_probe_absorption)])
 
 
-def _run_min_absorption(cfg: ScenarioConfig, threads: int) -> ResultTable:
+def _run_min_absorption(cfg: ScenarioConfig) -> ResultTable:
     scheme = cfg.scheme()
-    grid = cfg.omega_p_grid
-
-    def worker(omega):
-        scan = min_absorption_scan(scheme, cfg.delta_p, [omega],
-                                   delta_grid=cfg.delta_grid)
-        return scan.points[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(worker, grid))
-    else:
-        points = [worker(w) for w in grid]
-    rows = [(p.omega_p, p.min_absorption, p.delta_at_min) for p in points]
+    rows = []
+    for omega in cfg.omega_p_grid:
+        p = min_absorption_scan(scheme, cfg.delta_p, [omega],
+                                delta_grid=cfg.delta_grid).points[0]
+        rows.append((p.omega_p, p.min_absorption, p.delta_at_min))
     return ResultTable(columns=[("omega_p", "Gamma"),
                                 ("min_absorption", "arb"),
                                 ("delta_at_min", "Gamma")], rows=rows)
@@ -488,36 +512,28 @@ def _run_propagate(cfg: ScenarioConfig) -> ResultTable:
     return ResultTable(columns=cols, rows=rows, provenance=prov)
 
 
-def _run_output_curve(cfg: ScenarioConfig, threads: int) -> ResultTable:
+def _run_output_curve(cfg: ScenarioConfig) -> ResultTable:
     scheme = cfg.scheme()
-    cell = cfg.cell
-    grid = cfg.pump_grid
-
-    def worker(I_in):
-        return output_curve(cell, scheme, [I_in], cfg.delta_p)[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(worker, grid))
-    else:
-        points = [worker(v) for v in grid]
-    rows = [(p.I_z_in, p.omega_p, p.I_x_out) for p in points]
+    rows = []
+    for I_in in cfg.pump_grid:
+        p = output_curve(cfg.cell, scheme, [I_in], cfg.delta_p)[0]
+        rows.append((p.I_z_in, p.omega_p, p.I_x_out))
     return ResultTable(columns=[("I_z_in", "W/m^2"), ("omega_p", "Gamma"),
                                 ("I_x_out", "W/m^2")], rows=rows)
 
 
-def run(cfg: ScenarioConfig, threads: int = 1) -> ResultTable:
+def run(cfg: ScenarioConfig) -> ResultTable:
     """Execute the selected workflow and attach provenance."""
     t0 = time.perf_counter()
     dispatch = {
-        "populations": lambda: _run_populations(cfg),
-        "inversion-scan": lambda: _run_inversion_scan(cfg),
-        "spectrum": lambda: _run_spectrum(cfg),
-        "min-absorption-scan": lambda: _run_min_absorption(cfg, threads),
-        "propagate": lambda: _run_propagate(cfg),
-        "output-curve": lambda: _run_output_curve(cfg, threads),
+        "populations": _run_populations,
+        "inversion-scan": _run_inversion_scan,
+        "spectrum": _run_spectrum,
+        "min-absorption-scan": _run_min_absorption,
+        "propagate": _run_propagate,
+        "output-curve": _run_output_curve,
     }
-    table = dispatch[cfg.workflow]()
+    table = dispatch[cfg.workflow](cfg)
     prov = {"tool": f"mirrorless {__version__}",
             "workflow": cfg.workflow,
             "config_sha256": cfg.source_sha256}
@@ -538,7 +554,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--format", choices=("csv", "json"),
                         help="override the output format")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid fan-out")
+                        help="ignored; accepted so that older command "
+                             "lines still run (grids run serially)")
     args = parser.parse_args(argv)
 
     try:
@@ -548,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
     try:
-        table = run(cfg, threads=max(1, args.threads))
+        table = run(cfg)
     except (DegenerateSteadyStateError, CorrelationWindowError) as exc:
         print(f"numerical failure ({cfg.workflow}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -8,9 +8,9 @@ Density matrices are vectorized row-major, vec(rho)[i*d + j] = rho[i, j], so
 vec(A rho B) = (A kron B^T) vec(rho).
 
 Dimensions here are small (d <= 12, superoperators <= 144x144), so everything
-is dense; steady states come from a bordered least-squares solve with an
-appended trace row, and time evolution from exact propagators e^{L dt}
-(scaling and squaring), one per distinct sampling interval.
+is dense; steady states come from one singular value decomposition of L
+(its null singular vectors), and time evolution from exact propagators
+e^{L dt} (scaling and squaring), one per distinct sampling interval.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class Liouvillian:
 
     matrix: np.ndarray  # (d*d, d*d) complex
     dim: int
-    gamma: float = 1.0
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return (self.matrix @ rho.reshape(-1)).reshape(self.dim, self.dim)
@@ -66,16 +65,16 @@ class InversionScan:
     s_star: Optional[float]  # threshold where rho(m_e=0) crosses rho(|m_g|=1)
 
 
-def saturation_parameter(omega_p: float, delta_p: float, gamma: float = 1.0) -> float:
-    """S = omega_p^2 / (gamma^2/4 + delta_p^2)."""
-    return omega_p ** 2 / (gamma ** 2 / 4.0 + delta_p ** 2)
+def saturation_parameter(omega_p: float, delta_p: float) -> float:
+    """S = omega_p^2 / (Gamma^2/4 + delta_p^2)."""
+    return omega_p ** 2 / (0.25 + delta_p ** 2)
 
 
-def omega_from_saturation(S: float, delta_p: float, gamma: float = 1.0) -> float:
+def omega_from_saturation(S: float, delta_p: float) -> float:
     """Inverse of :func:`saturation_parameter` at fixed detuning."""
     if S < 0:
         raise ValueError("saturation parameter must be nonnegative")
-    return np.sqrt(S * (gamma ** 2 / 4.0 + delta_p ** 2))
+    return np.sqrt(S * (0.25 + delta_p ** 2))
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -86,8 +85,7 @@ def unvectorize(vec: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(d, d)
 
 
-def build_liouvillian(H: np.ndarray, channels: CollapseChannels,
-                      gamma: float = 1.0) -> Liouvillian:
+def build_liouvillian(H: np.ndarray, channels: CollapseChannels) -> Liouvillian:
     """Assemble the dense generator L with drho/dt = L[rho]."""
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
@@ -99,10 +97,10 @@ def build_liouvillian(H: np.ndarray, channels: CollapseChannels,
         if s.shape != (d, d):
             raise ValueError("collapse operator dimension mismatch")
         sp_sm = s.conj().T @ s
-        L += gamma * (np.kron(s, s.conj())
-                      - 0.5 * np.kron(sp_sm, eye)
-                      - 0.5 * np.kron(eye, sp_sm.T))
-    return Liouvillian(matrix=L, dim=d, gamma=gamma)
+        L += (np.kron(s, s.conj())
+              - 0.5 * np.kron(sp_sm, eye)
+              - 0.5 * np.kron(eye, sp_sm.T))
+    return Liouvillian(matrix=L, dim=d)
 
 
 def density_matrix_defects(rho: np.ndarray) -> Tuple[float, float, float]:
@@ -133,7 +131,7 @@ class Evolution:
         return self.states[-1]
 
 
-def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float, tol: float = 1e-8,
+def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
            t_eval: Optional[Sequence[float]] = None, hermitize: bool = True,
            n_samples: int = 201) -> Evolution:
     """Propagate rho0 under L, sampled on ``t_eval`` (default: ``n_samples``
@@ -143,8 +141,6 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float, tol: float = 1e-8,
     uniform grid uses a single matrix exponential, any other grid one per
     interval.  The per-sample invariant repair is limited to
     re-Hermitization; trace drift is left observable as a diagnostic.
-    ``tol`` is accepted for compatibility and unused: the propagator is
-    exact up to rounding.
     """
     d = L.dim
     rho0 = np.asarray(rho0, dtype=complex)
@@ -176,75 +172,76 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float, tol: float = 1e-8,
     return Evolution(times=t_grid, states=states)
 
 
-def null_space_dimension(L: Liouvillian, rel_tol: float = 1e-10) -> int:
-    s = np.linalg.svd(L.matrix, compute_uv=False)
-    scale = s[0] if s[0] > 0 else 1.0
-    return int(np.sum(s <= rel_tol * scale))
+# singular values below _NULL_REL_TOL * sigma_max span the null space; a
+# steady state whose residual max |L rho| exceeds _RESIDUAL_TOL is rejected
+_NULL_REL_TOL = 1e-10
+_RESIDUAL_TOL = 1e-8
 
 
 def steady_state(L: Liouvillian, mode: str = "unique",
-                 rho0: Optional[np.ndarray] = None,
-                 null_rel_tol: float = 1e-10,
-                 residual_tol: float = 1e-8) -> np.ndarray:
-    """Solve L[rho] = 0 with Tr rho = 1.
+                 rho0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Solve L[rho] = 0 with Tr rho = 1 from one SVD L = U S V^H.
 
-    mode='unique' (default) requires a one-dimensional null space and raises
+    The null space is spanned by the right singular vectors V0 whose
+    singular values fall below 1e-10 of the largest.  mode='unique'
+    (default) requires it to be one-dimensional and raises
     :class:`DegenerateSteadyStateError` (carrying the measured dimension)
     otherwise.  mode='project' returns the infinite-time limit reached from
-    ``rho0`` by spectral projection onto the kernel.
+    ``rho0``, P rho0 with the spectral projector P = V0 (U0^H V0)^-1 U0^H
+    onto the kernel along the range of L (U0: the left null vectors).
     """
     d = L.dim
-    nullity = max(1, null_space_dimension(L, null_rel_tol))
-    if nullity > 1:
-        if mode != "project":
-            raise DegenerateSteadyStateError(nullity)
-        if rho0 is None:
-            raise ValueError("mode='project' requires an initial state rho0")
-        vals, vecs = np.linalg.eig(L.matrix)
-        scale = float(np.max(np.abs(vals))) or 1.0
-        zero = np.abs(vals) <= 100 * null_rel_tol * scale
-        left = np.linalg.inv(vecs)
-        coeff = left[zero] @ vectorize(rho0)
-        rho = unvectorize(vecs[:, zero] @ coeff, d)
+    U, s, Vh = np.linalg.svd(L.matrix)
+    scale = s[0] if s[0] > 0 else 1.0
+    nullity = max(1, int(np.sum(s <= _NULL_REL_TOL * scale)))
+    if nullity == 1:
+        # the SVD fixes no phase: divide by the complex trace first
+        rho = unvectorize(Vh[-1].conj(), d)
+        rho = rho / np.trace(rho)
+    elif mode != "project":
+        raise DegenerateSteadyStateError(nullity)
+    elif rho0 is None:
+        raise ValueError("mode='project' requires an initial state rho0")
     else:
-        bordered = np.vstack([L.matrix, vectorize(np.eye(d))[None, :]])
-        rhs = np.zeros(d * d + 1, dtype=complex)
-        rhs[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
-        rho = unvectorize(sol, d)
+        U0h, V0 = U[:, -nullity:].conj().T, Vh[-nullity:].conj().T
+        coeff = np.linalg.solve(U0h @ V0, U0h @ vectorize(rho0))
+        rho = unvectorize(V0 @ coeff, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     residual = float(np.max(np.abs(L.apply(rho))))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise RuntimeError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e}")
+            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}")
     return rho
 
 
-def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float,
-                           gamma: float = 1.0) -> Tuple[np.ndarray, Liouvillian]:
+def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
+                           ) -> Tuple[np.ndarray, Liouvillian]:
     """Steady state of the pump-only system, with its Liouvillian."""
     H = pump_hamiltonian(scheme, omega_p, delta_p)
-    L = build_liouvillian(H, build_collapse(scheme), gamma)
+    L = build_liouvillian(H, build_collapse(scheme))
     return steady_state(L), L
 
 
-def inversion_scan(scheme: LevelScheme, delta_p: float, s_grid: Sequence[float],
-                   gamma: float = 1.0,
-                   bisect_rel_tol: float = 1e-3) -> InversionScan:
+# relative accuracy of the bisected inversion threshold S*
+_BISECT_REL_TOL = 1e-3
+
+
+def inversion_scan(scheme: LevelScheme, delta_p: float,
+                   s_grid: Sequence[float]) -> InversionScan:
     """Steady-state populations over a saturation-parameter grid.
 
     Also locates the threshold S* where the population of (excited, m=0)
     crosses that of (ground, |m|=1), by bisection between the bracketing grid
-    points to ``bisect_rel_tol`` relative accuracy.
+    points to 1e-3 relative accuracy.
     """
     e0 = scheme.index("excited", 0.0)
     g_side = [scheme.index("ground", m) for m in (-1.0, 1.0)
               if ("ground", m) in scheme.index_map]
 
     def gap(S: float) -> Tuple[float, np.ndarray]:
-        omega = omega_from_saturation(S, delta_p, gamma)
-        rho, _ = pump_only_steady_state(scheme, omega, delta_p, gamma)
+        omega = omega_from_saturation(S, delta_p)
+        rho, _ = pump_only_steady_state(scheme, omega, delta_p)
         pops = np.real(np.diag(rho))
         return float(pops[e0] - max(pops[i] for i in g_side)), pops
 
@@ -254,14 +251,14 @@ def inversion_scan(scheme: LevelScheme, delta_p: float, s_grid: Sequence[float],
         g, pops = gap(float(S))
         gaps.append(g)
         points.append(SaturationPoint(
-            S=float(S), omega_p=omega_from_saturation(S, delta_p, gamma),
+            S=float(S), omega_p=omega_from_saturation(S, delta_p),
             populations=pops))
 
     s_star = None
     for i in range(len(gaps) - 1):
         if gaps[i] < 0.0 <= gaps[i + 1]:
             lo, hi = float(s_grid[i]), float(s_grid[i + 1])
-            while (hi - lo) > bisect_rel_tol * hi:
+            while (hi - lo) > _BISECT_REL_TOL * hi:
                 mid = 0.5 * (lo + hi)
                 if gap(mid)[0] < 0.0:
                     lo = mid

@@ -25,7 +25,7 @@ from scipy.constants import epsilon_0 as _eps0
 from scipy.constants import hbar as _hbar
 from scipy.integrate import solve_ivp
 
-from .dynamics import build_liouvillian, steady_state, pump_only_steady_state
+from .dynamics import build_liouvillian, pump_only_steady_state
 from .levels import (FieldConfig, LevelScheme, build_collapse, probe_raising,
                      pump_hamiltonian, pump_raising)
 from .spectra import degenerate_probe_steady_state
@@ -132,8 +132,8 @@ def _coherence_sum(V: np.ndarray, rho: np.ndarray) -> float:
 
 
 def absorption_coefficients(rho_ss: np.ndarray, scheme: LevelScheme,
-                            fields: FieldConfig, cell: CellConfig,
-                            gamma: float = 1.0) -> Tuple[float, float]:
+                            fields: FieldConfig, cell: CellConfig
+                            ) -> Tuple[float, float]:
     """(alpha_z, alpha_x) in 1/m from the steady-state coherences.
 
     alpha = -(n omega / 2 c eps0 E0) * sum_excited i [mu, rho]_ii for the
@@ -147,9 +147,8 @@ def absorption_coefficients(rho_ss: np.ndarray, scheme: LevelScheme,
     if omega_p == 0.0:
         # unpumped vapor: linear response of the equal ground mixture (the
         # E -> 0 limit; the probe's own optical pumping plays no role there)
-        return (_undriven_alpha(scheme, fields.delta_p, cell, "parallel", gamma),
-                _undriven_alpha(scheme, fields.delta_p, cell, "perpendicular",
-                                gamma))
+        return (_undriven_alpha(scheme, fields.delta_p, cell, "parallel"),
+                _undriven_alpha(scheme, fields.delta_p, cell, "perpendicular"))
 
     a_z = _coherence_sum(pump_raising(scheme), rho_ss)
     alpha_z = -kappa * a_z / omega_p
@@ -161,20 +160,20 @@ def absorption_coefficients(rho_ss: np.ndarray, scheme: LevelScheme,
         probe_fields = FieldConfig(omega_p=omega_p, omega_pr=omega_pr,
                                    delta_p=fields.delta_p,
                                    delta_pr=fields.delta_p)
-        rho_x = degenerate_probe_steady_state(scheme, probe_fields, gamma)
+        rho_x = degenerate_probe_steady_state(scheme, probe_fields)
     a_x = _coherence_sum(probe_raising(scheme), rho_x)
     alpha_x = -kappa * a_x / omega_pr
     return float(alpha_z), float(alpha_x)
 
 
 def _undriven_alpha(scheme: LevelScheme, delta: float, cell: CellConfig,
-                    polarization: str, gamma: float = 1.0) -> float:
+                    polarization: str) -> float:
     """Linear absorption of the unpumped (equal ground mixture) vapor."""
     from .dynamics import equal_ground_state
     from .spectra import (parallel_dipole, perpendicular_dipole,
                           resolvent_spectrum)
     H = pump_hamiltonian(scheme, 0.0, delta)
-    L = build_liouvillian(H, build_collapse(scheme), gamma)
+    L = build_liouvillian(H, build_collapse(scheme))
     d_op = (parallel_dipole(scheme) if polarization == "parallel"
             else perpendicular_dipole(scheme))
     g_raw = resolvent_spectrum(L, equal_ground_state(scheme), d_op, [0.0],
@@ -235,13 +234,11 @@ _OMEGA_FLOOR = 1e-3
 
 
 def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
-                           cell: CellConfig, gamma: float = 1.0
-                           ) -> TransportCoefficients:
+                           cell: CellConfig) -> TransportCoefficients:
     """Evaluate absorption and source terms at the given field strengths."""
     if fields.omega_p > _OMEGA_FLOOR:
         omega_p = fields.omega_p
-        rho_ss, _ = pump_only_steady_state(scheme, omega_p, fields.delta_p,
-                                           gamma)
+        rho_ss, _ = pump_only_steady_state(scheme, omega_p, fields.delta_p)
         g_z, g_x = spontaneous_sources(rho_ss, scheme)
     else:
         omega_p = 0.0
@@ -251,7 +248,7 @@ def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
         rho_ss, scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
                                     delta_p=fields.delta_p,
                                     delta_pr=fields.delta_p),
-        cell, gamma)
+        cell)
     prefac = (cell.solid_angle / (4.0 * np.pi)) * cell.density \
         * cell.photon_energy
     return TransportCoefficients(
@@ -263,8 +260,7 @@ def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
 
 def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
               I_z0: float, I_x0: float = 0.0, mode: str = "closed_form",
-              self_consistent: bool = False, gamma: float = 1.0
-              ) -> PropagationProfile:
+              self_consistent: bool = False) -> PropagationProfile:
     """Propagate pump and orthogonal intensities along the cell.
 
     mode='closed_form' evaluates the analytic solution with alpha and the
@@ -283,7 +279,7 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
         omega_p=(fields.omega_p if fields.omega_p > 0
                  else cell.omega_p_from_intensity(I_z0)),
         omega_pr=0.0, delta_p=fields.delta_p, delta_pr=fields.delta_p)
-    co = transport_coefficients(scheme, entry_fields, cell, gamma)
+    co = transport_coefficients(scheme, entry_fields, cell)
 
     clamped = False
     if self_consistent:
@@ -301,7 +297,7 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
             local = FieldConfig(omega_p=cell.omega_p_from_intensity(I_z[i]),
                                 omega_pr=0.0, delta_p=fields.delta_p,
                                 delta_pr=fields.delta_p)
-            ci = transport_coefficients(scheme, local, cell, gamma)
+            ci = transport_coefficients(scheme, local, cell)
             a_z[i], a_x[i] = ci.alpha_z, ci.alpha_x
             g_z[i], g_x[i] = ci.gamma_z, ci.gamma_x
             if i + 1 < n:
@@ -353,7 +349,7 @@ class OutputPoint:
 
 
 def output_curve(cell: CellConfig, scheme: LevelScheme, pump_intensities,
-                 delta_p: float, gamma: float = 1.0):
+                 delta_p: float):
     """Exit intensity of the orthogonally polarized field vs pump input.
 
     For each pump intensity: convert to a reduced Rabi frequency, pump the
@@ -369,7 +365,7 @@ def output_curve(cell: CellConfig, scheme: LevelScheme, pump_intensities,
         fields = FieldConfig(omega_p=cell.omega_p_from_intensity(I_in),
                              omega_pr=0.0, delta_p=delta_p, delta_pr=delta_p)
         prof = propagate(cell, scheme, fields, I_z0=I_in, I_x0=0.0,
-                         mode="closed_form", gamma=gamma)
+                         mode="closed_form")
         rows.append(OutputPoint(I_z_in=I_in, omega_p=fields.omega_p,
                                 I_x_out=float(prof.I_x[-1])))
     return rows

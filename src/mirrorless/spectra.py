@@ -118,7 +118,6 @@ _UNDAMPED_WEIGHT_TOL = 1e-8
 
 def correlation_spectrum(L: Liouvillian, rho_ss: np.ndarray,
                          d_op: DipoleOperator, delta_grid: Sequence[float],
-                         decay_rel_tol: float = 1e-8, t_max: float = 40000.0,
                          normalized: bool = True) -> SpectrumResult:
     """Absorption spectrum vs pump-probe offset via the regression theorem.
 
@@ -132,9 +131,6 @@ def correlation_spectrum(L: Liouvillian, rho_ss: np.ndarray,
     subspace (modes with Re lambda >= -1e-10 |M|_1), the correlation never
     decays and :class:`CorrelationWindowError` is raised with that relative
     weight as the achieved decay level.
-
-    ``decay_rel_tol`` and ``t_max`` are accepted for compatibility and
-    unused: there is no time window.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     w = _trace_vector(d_op.d_minus)
@@ -198,7 +194,7 @@ def _commutator_superoperator(V: np.ndarray) -> np.ndarray:
 
 def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
                           omega_pr: float, delta_grid: Sequence[float],
-                          n_harmonics: int = 2, gamma: float = 1.0,
+                          n_harmonics: int = 2,
                           normalized: bool = True) -> SpectrumResult:
     """Explicit weak-probe absorption from the driven steady state.
 
@@ -212,9 +208,9 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
     regression-theorem spectrum.
 
     At delta = 0 exactly, the probe-synchronous response is evaluated at an
-    infinitesimal offset: the exactly degenerate static problem additionally
-    folds in the coherent four-wave-mixing partner of the probe (see
-    :func:`degenerate_probe_absorption`) and is a different observable.
+    infinitesimal offset: the exactly degenerate static problem (see
+    :func:`degenerate_probe_steady_state`) additionally folds in the coherent
+    four-wave-mixing partner of the probe and is a different observable.
     """
     if omega_pr <= 0:
         raise ValueError("explicit weak-probe route requires omega_pr > 0")
@@ -223,7 +219,7 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
     n = d * d
     H0 = pump_hamiltonian(scheme, omega_p, delta_p)
     channels = build_collapse(scheme)
-    L0 = build_liouvillian(H0, channels, gamma).matrix
+    L0 = build_liouvillian(H0, channels).matrix
     d_op = perpendicular_dipole(scheme)
     Vm = d_op.d_plus * omega_pr  # drive: H_pr(t) = (Vm e^{i delta t} + h.c.)/2
     LV = _commutator_superoperator(Vm)
@@ -262,8 +258,7 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
                                     "normalized": normalized})
 
 
-def degenerate_probe_steady_state(scheme: LevelScheme, fields, gamma: float = 1.0
-                                  ) -> np.ndarray:
+def degenerate_probe_steady_state(scheme: LevelScheme, fields) -> np.ndarray:
     """Static steady state with pump and an exactly degenerate weak x probe.
 
     Valid when delta = omega_p - omega_pr = 0, where the single rotating
@@ -278,23 +273,7 @@ def degenerate_probe_steady_state(scheme: LevelScheme, fields, gamma: float = 1.
     Vx = probe_raising(scheme) * fields.omega_pr
     H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p) \
         + 0.5 * (Vx + Vx.conj().T)
-    return steady_state(build_liouvillian(H, build_collapse(scheme), gamma))
-
-
-def degenerate_probe_absorption(scheme: LevelScheme, fields, gamma: float = 1.0,
-                                normalized: bool = True) -> float:
-    """Absorption of the degenerate (delta = 0) x-polarized probe.
-
-    Computed from the static coherence sum -2 Im Tr(V+ rho); it includes the
-    coherent fold of the probe's four-wave-mixing partner, which the
-    nondegenerate delta -> 0 limit excludes.
-    """
-    rho = degenerate_probe_steady_state(scheme, fields, gamma)
-    d_op = perpendicular_dipole(scheme)
-    Vm = d_op.d_plus * fields.omega_pr
-    a = -np.imag(np.trace(Vm.conj().T @ rho))
-    norm = d_op.peak_norm() if normalized else 1.0
-    return float(a * 2.0 / (fields.omega_pr ** 2 * norm))
+    return steady_state(build_liouvillian(H, build_collapse(scheme)))
 
 
 @dataclass(frozen=True)
@@ -309,8 +288,6 @@ class PerpendicularGain:
 
 def perpendicular_gain_spectrum(scheme: LevelScheme, fields,
                                 delta_grid: Sequence[float],
-                                gamma: float = 1.0,
-                                t_max: float = 40000.0,
                                 n_harmonics: int = 2) -> PerpendicularGain:
     """Absorption of the orthogonally polarized probe vs offset delta.
 
@@ -318,18 +295,17 @@ def perpendicular_gain_spectrum(scheme: LevelScheme, fields,
     the perpendicular dipole operator.  Route (b): explicit weak probe at
     omega_pr (default 1e-3 omega_p) solved in the driven system, absorption
     from the coherence sum.  Both arrays are returned for cross-validation;
-    they agree within the probe's linear-response regime.  ``t_max`` is
-    accepted but unused (the regression route has no time window).
+    they agree within the probe's linear-response regime.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     omega_pr = fields.omega_pr if fields.omega_pr > 0 else 1e-3 * fields.omega_p
     H0 = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p)
-    L = build_liouvillian(H0, build_collapse(scheme), gamma)
+    L = build_liouvillian(H0, build_collapse(scheme))
     rho_ss = steady_state(L)
     d_op = perpendicular_dipole(scheme)
     reg = correlation_spectrum(L, rho_ss, d_op, delta_grid)
     wp = weak_probe_absorption(scheme, fields.omega_p, fields.delta_p,
-                               omega_pr, delta_grid, gamma=gamma,
+                               omega_pr, delta_grid,
                                n_harmonics=n_harmonics)
     meta = dict(reg.metadata)
     meta.update({"omega_p": fields.omega_p, "delta_p": fields.delta_p,
@@ -367,10 +343,14 @@ class MinAbsorptionScan:
         return out
 
 
+# points of the local offset grid refining the coarse spectral minimum
+_N_REFINE = 41
+
+
 def min_absorption_scan(scheme: LevelScheme, delta_p: float,
                         omega_p_grid: Sequence[float],
-                        delta_grid: Optional[Sequence[float]] = None,
-                        gamma: float = 1.0, n_refine: int = 41) -> MinAbsorptionScan:
+                        delta_grid: Optional[Sequence[float]] = None
+                        ) -> MinAbsorptionScan:
     """Minimum of the perpendicular gain spectrum over delta, per pump Rabi.
 
     Spectra are evaluated with the exact resolvent route (the identical
@@ -382,7 +362,7 @@ def min_absorption_scan(scheme: LevelScheme, delta_p: float,
     wmax = float(np.max(np.abs(pump_raising(scheme))))
     for omega_p in omega_p_grid:
         H0 = pump_hamiltonian(scheme, float(omega_p), delta_p)
-        L = build_liouvillian(H0, build_collapse(scheme), gamma)
+        L = build_liouvillian(H0, build_collapse(scheme))
         rho_ss = steady_state(L)
         d_op = perpendicular_dipole(scheme)
         if delta_grid is None:
@@ -394,7 +374,7 @@ def min_absorption_scan(scheme: LevelScheme, delta_p: float,
         i_min = int(np.argmin(spec.absorption))
         step = grid[1] - grid[0] if len(grid) > 1 else 1.0
         fine = np.linspace(grid[i_min] - 1.5 * step, grid[i_min] + 1.5 * step,
-                           n_refine)
+                           _N_REFINE)
         spec_f = resolvent_spectrum(L, rho_ss, d_op, fine)
         j = int(np.argmin(spec_f.absorption))
         candidates = [(float(spec.absorption[i_min]), float(grid[i_min])),

@@ -305,7 +305,7 @@ def test_criterion_8_open_system_invariants():
         worst["oracle"] = max(worst["oracle"],
                               float(np.max(np.abs(L.apply(rho0) - direct))))
 
-        ev = evolve(L, rho0, 5.0, tol=1e-10, n_samples=6)
+        ev = evolve(L, rho0, 5.0, n_samples=6)
         herm, tr, min_eig = density_matrix_defects(ev.final())
         worst["trace"] = max(worst["trace"], tr)
         worst["herm"] = max(worst["herm"], herm)

@@ -253,6 +253,57 @@ def test_ignored_numerics_keys_change_nothing(tmp_path):
         assert len(a) > 5
 
 
+MINIMAL_PROPAGATE = """
+[transition]
+f_ground = 1
+f_excited = 2
+
+[fields]
+omega_p = 0.4
+delta_p = 0.75
+
+[scan]
+workflow = propagate
+mode = closed_form
+
+[cell]
+length_m = 0.1
+density_m3 = 1e16
+gamma_rad_s = 3.5e7
+wavelength_m = 780e-9
+beam_radius_m = 1e-3
+grid_points = 11
+"""
+
+
+INVALID_VALUES = [
+    (MINIMAL_POPULATIONS, "saturation = 36", "saturation = -1", "saturation"),
+    (MINIMAL_POPULATIONS, "saturation = 36", "omega_p = -2", "omega_p"),
+    (MINIMAL_POPULATIONS, "t_final = 2", "t_final = -5", "t_final"),
+    (MINIMAL_POPULATIONS, "f_excited = 2", "f_excited = 3", "f_excited"),
+    (MINIMAL_PROPAGATE, "length_m = 0.1", "length_m = -0.1", "length_m"),
+    (MINIMAL_PROPAGATE, "mode = closed_form",
+     "mode = closed_form\ninput_intensity = -5", "input_intensity"),
+    (MINIMAL_PROPAGATE, "mode = closed_form", "mode = bogus", "mode"),
+    (MINIMAL_PROPAGATE, "mode = closed_form",
+     "mode = closed_form\nself_consistent = true", "self_consistent"),
+    (MINIMAL_SPECTRUM, "delta_points = 9",
+     "delta_points = 9\n[numerics]\nn_harmonics = 0", "n_harmonics"),
+]
+
+
+@pytest.mark.parametrize("base, old, new, key", INVALID_VALUES,
+                         ids=[c[2].splitlines()[-1] for c in INVALID_VALUES])
+def test_invalid_values_exit_config_error(tmp_path, capsys, base, old, new,
+                                          key):
+    from mirrorless.cli import main
+    assert old in base
+    path = write_config(tmp_path, base.replace(old, new))
+    assert main([path, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "mirrorless.cli", "--help"],
                           capture_output=True, text=True)

@@ -320,5 +320,5 @@ def test_nondecaying_correlation_reported(scheme8):
         rho[g, g] = 1 / 3
     with pytest.raises(CorrelationWindowError) as err:
         correlation_spectrum(L, rho, perpendicular_dipole(scheme8),
-                             np.linspace(-2, 2, 5), t_max=200.0)
+                             np.linspace(-2, 2, 5))
     assert err.value.achieved > 0.1
