@@ -6,6 +6,13 @@ quantum regression theorem, and propagates pump and orthogonally polarized
 emission intensities along a pencil-shaped cell.
 """
 
+import os
+
+# The matrices are at most 144x144, too small for a BLAS thread pool to pay
+# off; a value the user set is kept.  No effect if numpy was imported first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .angular import (BranchingTable, ThreeJArgs, branching_ratios,

@@ -178,6 +178,12 @@ _NULL_REL_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
 
 
+def _nullity(s: np.ndarray) -> int:
+    """Null-space dimension (at least 1) from descending singular values."""
+    scale = s[0] if s[0] > 0 else 1.0
+    return max(1, int(np.sum(s <= _NULL_REL_TOL * scale)))
+
+
 def steady_state(L: Liouvillian, mode: str = "unique",
                  rho0: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve L[rho] = 0 with Tr rho = 1 from one SVD L = U S V^H.
@@ -192,8 +198,7 @@ def steady_state(L: Liouvillian, mode: str = "unique",
     """
     d = L.dim
     U, s, Vh = np.linalg.svd(L.matrix)
-    scale = s[0] if s[0] > 0 else 1.0
-    nullity = max(1, int(np.sum(s <= _NULL_REL_TOL * scale)))
+    nullity = _nullity(s)
     if nullity == 1:
         # the SVD fixes no phase: divide by the complex trace first
         rho = unvectorize(Vh[-1].conj(), d)

@@ -301,11 +301,11 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
             a_z[i], a_x[i] = ci.alpha_z, ci.alpha_x
             g_z[i], g_x[i] = ci.gamma_z, ci.gamma_x
             if i + 1 < n:
-                h = y[i + 1] - y[i]
-                I_z[i + 1] = max(_closed_form(I_z[i], a_z[i], ci.source_z,
-                                              np.array([h]))[0], 0.0)
-                I_x[i + 1] = max(_closed_form(I_x[i], a_x[i], ci.source_x,
-                                              np.array([h]))[0], 0.0)
+                h = np.array([y[i + 1] - y[i]])
+                z = _closed_form(I_z[i], a_z[i], ci.source_z, h)[0]
+                x = _closed_form(I_x[i], a_x[i], ci.source_x, h)[0]
+                clamped |= bool(min(z, x) < 0.0)
+                I_z[i + 1], I_x[i + 1] = max(z, 0.0), max(x, 0.0)
         return PropagationProfile(y=y, I_z=I_z, I_x=I_x, alpha_z=a_z,
                                   alpha_x=a_x, Gamma_z=g_z, Gamma_x=g_x,
                                   clamped=clamped,

@@ -18,9 +18,13 @@ values mean attenuation; negative values mean probe gain.
 Two independent routes to the same response are provided for
 cross-validation: a resolvent (Lorentzian-sum) evaluation over the
 eigenmodes of L, and an explicit weak-probe calculation that solves the
-driven system including the probe at finite Rabi frequency (harmonic balance
-in the offset frequency) and reads the absorption off the probe-synchronous
-coherences, as in the propagation-coefficient analysis.
+driven system including the probe at finite Rabi frequency and reads the
+absorption off the probe-synchronous coherences, as in the
+propagation-coefficient analysis.  Its harmonic balance in the offset
+frequency is block tridiagonal; the sidebands are eliminated by a matrix
+continued fraction (Risken, The Fokker-Planck Equation, ch. 9), the
+negative ones by the symmetry rho_{-m} = rho_m^H, leaving one square system
+for the mean state in which the trace condition replaces a population row.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import schur, solve_triangular
 
-from .dynamics import (Liouvillian, build_liouvillian, steady_state,
-                       vectorize)
+from .dynamics import (DegenerateSteadyStateError, Liouvillian, _nullity,
+                       build_liouvillian, steady_state, vectorize)
 from .levels import (LevelScheme, build_collapse, probe_raising,
                      pump_hamiltonian, pump_raising)
 
@@ -207,47 +211,53 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
     per unit probe intensity so it is directly comparable with the
     regression-theorem spectrum.
 
+    With rho(t) = sum_m rho_m e^{i m delta t} and L_+- = -i/2 [V_+-, .] the
+    probe parts at e^{+-i delta t}, harmonic m obeys (i m delta - L0) rho_m
+    - L_+ rho_{m-1} - L_- rho_{m+1} = 0.  The matrix continued fraction
+    rho_m = R_m rho_{m-1}, R_{n+1} = 0, R_m = (i m delta - L0 - L_- R_{m+1})^-1
+    L_+ eliminates m = n ... 1, and rho_{-m} = rho_m^H the negative side.
+    The remaining rho_0 system, its first population row replaced by the
+    trace row, is square and nonsingular: O(n d^6) per offset.  A dark line
+    (null space of L0 of dimension > 1, by the test of :func:`steady_state`)
+    raises :class:`DegenerateSteadyStateError`.
+
     At delta = 0 exactly, the probe-synchronous response is evaluated at an
     infinitesimal offset: the exactly degenerate static problem (see
     :func:`degenerate_probe_steady_state`) additionally folds in the coherent
     four-wave-mixing partner of the probe and is a different observable.
     """
-    if omega_pr <= 0:
-        raise ValueError("explicit weak-probe route requires omega_pr > 0")
+    if omega_pr <= 0 or n_harmonics < 1:
+        raise ValueError("explicit weak-probe route requires omega_pr > 0 "
+                         "and n_harmonics >= 1")
     delta_grid = np.asarray(delta_grid, dtype=float)
     d = scheme.dim
-    n = d * d
-    H0 = pump_hamiltonian(scheme, omega_p, delta_p)
-    channels = build_collapse(scheme)
-    L0 = build_liouvillian(H0, channels).matrix
+    L0 = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
+                           build_collapse(scheme)).matrix
+    nullity = _nullity(np.linalg.svd(L0, compute_uv=False))
+    if nullity > 1:
+        raise DegenerateSteadyStateError(nullity)
     d_op = perpendicular_dipole(scheme)
     Vm = d_op.d_plus * omega_pr  # drive: H_pr(t) = (Vm e^{i delta t} + h.c.)/2
-    LV = _commutator_superoperator(Vm)
-    LVd = _commutator_superoperator(Vm.conj().T)
-    trace_row = vectorize(np.eye(d))
-
+    L_plus = _commutator_superoperator(Vm)
+    L_minus = _commutator_superoperator(Vm.conj().T)
+    # P -> Pi conj(P) Pi, Pi: vec X -> vec X^T, maps X -> P[X] to
+    # X -> P[X^H]^H; it turns L_- into L_+
+    perm = np.arange(d * d).reshape(d, d).T.ravel()
+    flip = np.ix_(perm, perm)
+    eye, trace_row = np.eye(d * d), vectorize(np.eye(d))
     nh = int(n_harmonics)
-    idx = {m: k for k, m in enumerate(range(-nh, nh + 1))}
-    nb = len(idx)
     absorption = np.empty(len(delta_grid))
     for i, delta in enumerate(delta_grid):
         if abs(delta) < 1e-6:
             delta = 1e-6 if delta >= 0 else -1e-6
-        big = np.zeros((nb * n + 1, nb * n), dtype=complex)
-        rhs = np.zeros(nb * n + 1, dtype=complex)
-        for m, k in idx.items():
-            sl = slice(k * n, (k + 1) * n)
-            big[sl, sl] = 1j * m * delta * np.eye(n) - L0
-            if m - 1 in idx:
-                k2 = idx[m - 1]
-                big[sl, k2 * n:(k2 + 1) * n] = -LV
-            if m + 1 in idx:
-                k2 = idx[m + 1]
-                big[sl, k2 * n:(k2 + 1) * n] = -LVd
-        big[-1, idx[0] * n:(idx[0] + 1) * n] = trace_row
-        rhs[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-        rho1 = sol[idx[1] * n:(idx[1] + 1) * n].reshape(d, d)
+        back = np.zeros_like(L0)  # L_- R_{m+1}
+        for m in range(nh, 0, -1):
+            R = np.linalg.solve(1j * m * delta * eye - L0 - back, L_plus)
+            back = L_minus @ R
+        # rho_{-1} = Pi conj(R_1) Pi rho_0, so L_+ rho_{-1} = Pi conj(back) Pi rho_0
+        central = -L0 - back - back.conj()[flip]
+        central[0] = trace_row
+        rho1 = (R @ np.linalg.solve(central, eye[0])).reshape(d, d)
         absorption[i] = -np.imag(np.trace(Vm.conj().T @ rho1))
     norm = d_op.peak_norm() if normalized else 1.0
     absorption *= 2.0 / (omega_pr ** 2 * norm)
@@ -345,6 +355,13 @@ class MinAbsorptionScan:
 
 # points of the local offset grid refining the coarse spectral minimum
 _N_REFINE = 41
+# values within this fraction of max |absorption| of the minimum tie
+_TIE_REL_TOL = 1e-12
+
+
+def _argmin_lowest(a: np.ndarray) -> int:
+    """Index of the minimum; ties go to the first (lowest-delta) index."""
+    return int(np.argmax(a <= a.min() + _TIE_REL_TOL * np.max(np.abs(a))))
 
 
 def min_absorption_scan(scheme: LevelScheme, delta_p: float,
@@ -356,7 +373,9 @@ def min_absorption_scan(scheme: LevelScheme, delta_p: float,
     Spectra are evaluated with the exact resolvent route (the identical
     linear-response object as the regression spectrum, without sampling
     error), on an offset grid wide enough to cover all dressed sidebands,
-    then refined locally around the coarse minimum.
+    then refined locally around the coarse minimum.  Minima equal to within
+    1e-12 of the spectrum's max |absorption| (the mirror-image edges of a
+    resonantly pumped spectrum) resolve to the lowest delta.
     """
     points: List[MinAbsorptionPoint] = []
     wmax = float(np.max(np.abs(pump_raising(scheme))))
@@ -371,12 +390,12 @@ def min_absorption_scan(scheme: LevelScheme, delta_p: float,
         else:
             grid = np.asarray(delta_grid, dtype=float)
         spec = resolvent_spectrum(L, rho_ss, d_op, grid)
-        i_min = int(np.argmin(spec.absorption))
+        i_min = _argmin_lowest(spec.absorption)
         step = grid[1] - grid[0] if len(grid) > 1 else 1.0
         fine = np.linspace(grid[i_min] - 1.5 * step, grid[i_min] + 1.5 * step,
                            _N_REFINE)
         spec_f = resolvent_spectrum(L, rho_ss, d_op, fine)
-        j = int(np.argmin(spec_f.absorption))
+        j = _argmin_lowest(spec_f.absorption)
         candidates = [(float(spec.absorption[i_min]), float(grid[i_min])),
                       (float(spec_f.absorption[j]), float(fine[j]))]
         mn, at = min(candidates)

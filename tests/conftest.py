@@ -1,7 +1,9 @@
+# mirrorless first: its import pins BLAS to one thread only if numpy is not
+# loaded yet, so the suite runs under the same threading as the CLI
+from mirrorless import build_scheme
+
 import numpy as np
 import pytest
-
-from mirrorless import build_scheme
 
 
 @pytest.fixture(scope="session")

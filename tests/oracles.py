@@ -12,6 +12,10 @@ library code it checks:
   time domain with one scipy matrix exponential, and
   ``half_fourier_oracle`` transforms it with an endpoint-corrected
   trapezoid (the library evaluates the same transform as a resolvent).
+* ``weak_probe_oracle`` solves the whole truncated harmonic-balance system,
+  every harmonic at once, bordered by the trace condition, by dense
+  least squares (the library eliminates the harmonics by a matrix continued
+  fraction and uses rho_{-m} = rho_m^H).
 """
 
 from fractions import Fraction
@@ -194,3 +198,44 @@ def half_fourier_oracle(taus, c, omegas, slopes):
     fp0 = 1j * omegas * c[0] + slopes[0]
     fpT = phase[:, -1] * (1j * omegas * c[-1] + slopes[1])
     return trapezoid - dt ** 2 / 12.0 * (fpT - fp0)
+
+
+def weak_probe_oracle(L0, v_plus, deltas, n_harmonics):
+    """-Im Tr[V+^H rho_1] per offset from the bordered harmonic system.
+
+    rho(t) = sum_{|m| <= n} rho_m e^{i m delta t} under the pump Liouvillian
+    L0 (row-major vec) plus the probe H(t) = (V+ e^{i delta t} + h.c.)/2:
+    rows (i m delta - L0) rho_m - L+ rho_{m-1} - L- rho_{m+1} = 0 for all m,
+    plus Tr rho_0 = 1, a (2n+1) d^2 + 1 by (2n+1) d^2 system solved by
+    ``lstsq``.  delta = 0 is moved to +-1e-6 as the library does.
+    """
+    d = v_plus.shape[0]
+    n = d * d
+    eye = np.eye(d)
+
+    def commutator(V):
+        return -0.5j * (np.kron(V, eye) - np.kron(eye, V.T))
+
+    l_plus, l_minus = commutator(v_plus), commutator(v_plus.conj().T)
+    harmonics = range(-n_harmonics, n_harmonics + 1)
+    nb = len(harmonics)
+    out = []
+    for delta in deltas:
+        if abs(delta) < 1e-6:
+            delta = 1e-6 if delta >= 0 else -1e-6
+        big = np.zeros((nb * n + 1, nb * n), dtype=complex)
+        for k, m in enumerate(harmonics):
+            rows = slice(k * n, (k + 1) * n)
+            big[rows, rows] = 1j * m * delta * np.eye(n) - L0
+            if k > 0:
+                big[rows, (k - 1) * n:k * n] = -l_plus
+            if k + 1 < nb:
+                big[rows, (k + 1) * n:(k + 2) * n] = -l_minus
+        k0 = n_harmonics
+        big[-1, k0 * n:(k0 + 1) * n] = eye.reshape(-1)
+        rhs = np.zeros(nb * n + 1, dtype=complex)
+        rhs[-1] = 1.0
+        sol = np.linalg.lstsq(big, rhs, rcond=None)[0]
+        rho1 = sol[(k0 + 1) * n:(k0 + 2) * n].reshape(d, d)
+        out.append(-np.imag(np.trace(v_plus.conj().T @ rho1)))
+    return np.array(out)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from mirrorless import FieldConfig, pump_only_steady_state
+from mirrorless import FieldConfig, propagation, pump_only_steady_state
 from mirrorless.levels import probe_raising, pump_raising
 from mirrorless.propagation import (CellConfig, _closed_form,
                                     absorption_coefficients, output_curve,
@@ -180,6 +180,21 @@ def test_self_consistent_mode_runs(scheme8, cell):
     # unsaturated value as the pump depletes
     assert prof.I_z[-1] < prof.I_z[0]
     assert np.all(prof.I_x >= 0)
+
+
+def test_self_consistent_reports_clamping(scheme8, cell, monkeypatch):
+    monkeypatch.setattr(propagation, "_closed_form",
+                        lambda I0, alpha, source, y: -np.ones_like(y))
+    f = FieldConfig(omega_p=0.4, omega_pr=0.0, delta_p=0.75, delta_pr=0.75)
+    small = CellConfig(length=cell.length, density=cell.density,
+                       gamma_phys=cell.gamma_phys,
+                       photon_energy=cell.photon_energy,
+                       solid_angle=cell.solid_angle, grid=3)
+    prof = propagate(small, scheme8, f,
+                     I_z0=cell.intensity_from_omega_p(0.4),
+                     mode="numeric", self_consistent=True)
+    assert prof.clamped is True
+    assert np.all(prof.I_z[1:] == 0) and np.all(prof.I_x[1:] == 0)
 
 
 def test_output_curve_zero_and_monotone(scheme8, cell):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from mirrorless import FieldConfig, build_liouvillian, build_scheme, \
-    pump_only_steady_state, steady_state
-from mirrorless.levels import (probe_raising, pump_hamiltonian,
-                               two_level_collapse, two_level_hamiltonian)
+from mirrorless import DegenerateSteadyStateError, FieldConfig, \
+    build_liouvillian, build_scheme, pump_only_steady_state, steady_state
+from mirrorless.levels import (build_collapse, probe_raising,
+                               pump_hamiltonian, two_level_collapse,
+                               two_level_hamiltonian)
 from mirrorless.spectra import (CorrelationWindowError, DressedLadder,
                                 correlation_spectrum,
                                 degenerate_probe_steady_state, dressed_ladder,
@@ -17,7 +18,7 @@ from mirrorless.spectra import (CorrelationWindowError, DressedLadder,
                                 weak_probe_absorption)
 
 from oracles import (commutator_correlation_oracle, half_fourier_oracle,
-                     two_level_absorption)
+                     two_level_absorption, weak_probe_oracle)
 
 
 def _tls(omega, delta):
@@ -215,6 +216,50 @@ def test_weak_probe_linearity(scheme8):
     assert np.max(rel) < 1e-3  # halving the probe changes alpha < 0.1%
 
 
+@pytest.mark.parametrize("probe_ratio", [1e-3, 0.1], ids=["weak", "strong"])
+@pytest.mark.parametrize("n_harmonics", [1, 2, 3])
+@pytest.mark.parametrize("line", [(1, 2), (1.5, 2.5), (2, 3)],
+                         ids=["8-level", "10-level", "12-level"])
+def test_weak_probe_matches_bordered_oracle(line, n_harmonics, probe_ratio):
+    scheme = build_scheme(*line)
+    omega_p, delta_p = 3.0, 1.5
+    omega_pr = probe_ratio * omega_p
+    grid = np.linspace(-4.0, 4.0, 5)  # contains delta = 0
+    got = weak_probe_absorption(scheme, omega_p, delta_p, omega_pr, grid,
+                                n_harmonics=n_harmonics).absorption
+    L0 = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
+                           build_collapse(scheme)).matrix
+    d_op = perpendicular_dipole(scheme)
+    ref = weak_probe_oracle(L0, omega_pr * d_op.d_plus, grid, n_harmonics)
+    ref *= 2.0 / (omega_pr ** 2 * d_op.peak_norm())
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_weak_probe_converges_in_harmonics(scheme8):
+    grid = np.linspace(-6, 6, 25)
+    spectra = [weak_probe_absorption(scheme8, 3.0, 0.0, 0.3, grid,
+                                     n_harmonics=n).absorption
+               for n in range(1, 8)]
+    steps = [np.max(np.abs(b - a)) for a, b in zip(spectra, spectra[1:])]
+    assert steps[0] > 1e-4 * np.max(np.abs(spectra[-1]))  # strong probe
+    assert np.all(np.diff(steps) < 0)
+    assert steps[-1] < 1e-10 * np.max(np.abs(spectra[-1]))
+
+
+@pytest.mark.parametrize("omega_pr, n_harmonics", [(0.0, 2), (3e-3, 0)])
+def test_weak_probe_rejects_bad_input(scheme8, omega_pr, n_harmonics):
+    with pytest.raises(ValueError):
+        weak_probe_absorption(scheme8, 3.0, 0.0, omega_pr, [0.0, 1.0],
+                              n_harmonics=n_harmonics)
+
+
+@pytest.mark.parametrize("line", [(2, 1), (1.5, 0.5)])
+def test_weak_probe_dark_line_raises(line):
+    with pytest.raises(DegenerateSteadyStateError) as err:
+        weak_probe_absorption(build_scheme(*line), 3.0, 0.0, 3e-3, [0.0, 1.0])
+    assert err.value.dimension > 1
+
+
 def test_degenerate_probe_coherences_resonant(scheme8):
     # criterion-6 structure: at resonance the probe coherences are real and
     # the mirror-symmetric pairs are equal
@@ -260,6 +305,12 @@ def test_min_absorption_scan_detuned_gain(scheme12):
     scan = min_absorption_scan(scheme12, 0.75, np.linspace(0.3, 6.0, 8))
     assert any(p.min_absorption < 0 for p in scan.points)
     assert len(scan.gain_intervals()) >= 1
+
+
+def test_min_absorption_resonant_tie_resolves_to_lowest_delta(scheme12):
+    # the resonant spectrum is mirror-symmetric: its two edge minima tie
+    scan = min_absorption_scan(scheme12, 0.0, np.linspace(0.3, 6.0, 20))
+    assert all(p.delta_at_min <= 0 for p in scan.points)
 
 
 def test_min_absorption_vanishing_drive(scheme12):
