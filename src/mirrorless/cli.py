@@ -22,17 +22,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .dynamics import (DegenerateSteadyStateError, build_liouvillian,
-                       equal_ground_state, evolve, inversion_scan,
-                       omega_from_saturation, pump_only_steady_state,
-                       steady_state)
+from .dynamics import (build_liouvillian, equal_ground_state, evolve,
+                       inversion_scan, omega_from_saturation,
+                       pump_only_steady_state, steady_state)
 from .levels import (FieldConfig, LevelScheme, build_collapse, build_scheme,
                      pump_hamiltonian, two_level_collapse,
                      two_level_hamiltonian)
 from .propagation import CellConfig, output_curve, propagate
-from .spectra import (CorrelationWindowError, correlation_spectrum,
-                      min_absorption_scan, parallel_dipole,
-                      perpendicular_gain_spectrum, two_level_dipole)
+from .spectra import (correlation_spectrum, min_absorption_scan,
+                      parallel_dipole, perpendicular_gain_spectrum,
+                      two_level_dipole)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -62,10 +61,8 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
              "photon_energy_j": "float", "beam_radius_m": "float",
              "solid_angle_sr": "float", "grid_points": "int",
              "i_sat_ref_w_m2": "float"},
-    # evolve_tol, decay_rel_tol and t_max_correlation are ignored; they
-    # still parse so that older scenario files run
-    "numerics": {"evolve_tol": "float", "decay_rel_tol": "float",
-                 "t_max_correlation": "float", "n_harmonics": "int"},
+    # evolve_tol is ignored; it still parses so that older scenario files run
+    "numerics": {"evolve_tol": "float", "n_harmonics": "int"},
     "output": {"path": "str", "format": "str"},
 }
 
@@ -478,12 +475,9 @@ def _run_spectrum(cfg: ScenarioConfig) -> ResultTable:
 
 
 def _run_min_absorption(cfg: ScenarioConfig) -> ResultTable:
-    scheme = cfg.scheme()
-    rows = []
-    for omega in cfg.omega_p_grid:
-        p = min_absorption_scan(scheme, cfg.delta_p, [omega],
-                                delta_grid=cfg.delta_grid).points[0]
-        rows.append((p.omega_p, p.min_absorption, p.delta_at_min))
+    scan = min_absorption_scan(cfg.scheme(), cfg.delta_p, cfg.omega_p_grid,
+                               delta_grid=cfg.delta_grid)
+    rows = [(p.omega_p, p.min_absorption, p.delta_at_min) for p in scan.points]
     return ResultTable(columns=[("omega_p", "Gamma"),
                                 ("min_absorption", "arb"),
                                 ("delta_at_min", "Gamma")], rows=rows)
@@ -513,11 +507,8 @@ def _run_propagate(cfg: ScenarioConfig) -> ResultTable:
 
 
 def _run_output_curve(cfg: ScenarioConfig) -> ResultTable:
-    scheme = cfg.scheme()
-    rows = []
-    for I_in in cfg.pump_grid:
-        p = output_curve(cfg.cell, scheme, [I_in], cfg.delta_p)[0]
-        rows.append((p.I_z_in, p.omega_p, p.I_x_out))
+    rows = [(p.I_z_in, p.omega_p, p.I_x_out) for p in
+            output_curve(cfg.cell, cfg.scheme(), cfg.pump_grid, cfg.delta_p)]
     return ResultTable(columns=[("I_z_in", "W/m^2"), ("omega_p", "Gamma"),
                                 ("I_x_out", "W/m^2")], rows=rows)
 
@@ -566,9 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         table = run(cfg)
-    except (DegenerateSteadyStateError, CorrelationWindowError) as exc:
-        print(f"numerical failure ({cfg.workflow}): {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # DegenerateSteadyStateError and CorrelationWindowError are RuntimeErrors
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure ({cfg.workflow}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -25,10 +25,11 @@ from scipy.constants import epsilon_0 as _eps0
 from scipy.constants import hbar as _hbar
 from scipy.integrate import solve_ivp
 
-from .dynamics import build_liouvillian, pump_only_steady_state
+from .dynamics import pump_only_steady_state
 from .levels import (FieldConfig, LevelScheme, build_collapse, probe_raising,
-                     pump_hamiltonian, pump_raising)
-from .spectra import degenerate_probe_steady_state
+                     pump_raising)
+from .spectra import (degenerate_probe_steady_state, parallel_dipole,
+                      perpendicular_dipole)
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,19 @@ def absorption_coefficients(rho_ss: np.ndarray, scheme: LevelScheme,
     respective polarization, positive meaning attenuation.  When a field
     amplitude is zero the coefficient is evaluated in the linear-response
     limit (a vanishing test amplitude on the corresponding polarization).
+
+    Unpumped, alpha = kappa * peak_norm / (1 + 4 Delta_p^2) exactly: every
+    excited sublevel sits at Delta_p and each optical coherence of the equal
+    ground mixture decays alone at Gamma/2, so the response is one
+    Lorentzian of peak ``DipoleOperator.peak_norm`` (the spectra's unit).
     """
     kappa = cell.absorption_scale
     omega_p, omega_pr = fields.omega_p, fields.omega_pr
 
     if omega_p == 0.0:
-        # unpumped vapor: linear response of the equal ground mixture (the
-        # E -> 0 limit; the probe's own optical pumping plays no role there)
-        return (_undriven_alpha(scheme, fields.delta_p, cell, "parallel"),
-                _undriven_alpha(scheme, fields.delta_p, cell, "perpendicular"))
+        lorentzian = kappa / (1.0 + 4.0 * fields.delta_p ** 2)
+        return (lorentzian * parallel_dipole(scheme).peak_norm(),
+                lorentzian * perpendicular_dipole(scheme).peak_norm())
 
     a_z = _coherence_sum(pump_raising(scheme), rho_ss)
     alpha_z = -kappa * a_z / omega_p
@@ -164,21 +169,6 @@ def absorption_coefficients(rho_ss: np.ndarray, scheme: LevelScheme,
     a_x = _coherence_sum(probe_raising(scheme), rho_x)
     alpha_x = -kappa * a_x / omega_pr
     return float(alpha_z), float(alpha_x)
-
-
-def _undriven_alpha(scheme: LevelScheme, delta: float, cell: CellConfig,
-                    polarization: str) -> float:
-    """Linear absorption of the unpumped (equal ground mixture) vapor."""
-    from .dynamics import equal_ground_state
-    from .spectra import (parallel_dipole, perpendicular_dipole,
-                          resolvent_spectrum)
-    H = pump_hamiltonian(scheme, 0.0, delta)
-    L = build_liouvillian(H, build_collapse(scheme))
-    d_op = (parallel_dipole(scheme) if polarization == "parallel"
-            else perpendicular_dipole(scheme))
-    g_raw = resolvent_spectrum(L, equal_ground_state(scheme), d_op, [0.0],
-                               normalized=False).absorption[0]
-    return float(cell.absorption_scale * g_raw)
 
 
 def spontaneous_sources(rho_ss: np.ndarray, scheme: LevelScheme

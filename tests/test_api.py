@@ -1,5 +1,6 @@
 """Public API surface: knobs that have one value in use are constants."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -22,6 +23,38 @@ def test_no_removed_parameters():
             offenders += [f"{name}({p})" for p in inspect.signature(obj).parameters
                           if p in REMOVED]
     assert offenders == []
+
+
+def _name(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1]
+    return None
+
+
+def test_eig_route_stays_out_of_the_program():
+    # resolvent_spectrum (eig, then a solve with the eigenvector matrix) is
+    # the tests' reference; the program's spectra come from the Schur route
+    offenders, eig_in_reference = [], 0
+    for path in sorted(Path(mirrorless.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reference = [range(n.lineno, n.end_lineno + 1) for n in ast.walk(tree)
+                     if isinstance(n, ast.FunctionDef)
+                     and n.name == "resolvent_spectrum"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and _name(node.func) == "resolvent_spectrum":
+                offenders.append(f"{path.name}:{node.lineno} calls it")
+            if _name(node) == "eig":
+                if any(node.lineno in r for r in reference):
+                    eig_in_reference += 1
+                else:
+                    offenders.append(f"{path.name}:{node.lineno} uses eig")
+    assert offenders == []
+    assert eig_in_reference == 1
 
 
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("2", "2")])

@@ -230,8 +230,6 @@ delta_points = 9
 IGNORED_NUMERICS_KEYS = """
 [numerics]
 evolve_tol = 1e-3
-decay_rel_tol = 1e-2
-t_max_correlation = 5
 """
 
 
@@ -289,6 +287,12 @@ INVALID_VALUES = [
      "mode = closed_form\nself_consistent = true", "self_consistent"),
     (MINIMAL_SPECTRUM, "delta_points = 9",
      "delta_points = 9\n[numerics]\nn_harmonics = 0", "n_harmonics"),
+    # keys no longer accepted: an old scenario file exits 3 naming them
+    (MINIMAL_SPECTRUM, "delta_points = 9",
+     "delta_points = 9\n[numerics]\ndecay_rel_tol = 1e-2", "decay_rel_tol"),
+    (MINIMAL_SPECTRUM, "delta_points = 9",
+     "delta_points = 9\n[numerics]\nt_max_correlation = 5",
+     "t_max_correlation"),
 ]
 
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from mirrorless import FieldConfig, propagation, pump_only_steady_state
+from mirrorless import (FieldConfig, build_collapse, build_liouvillian,
+                        build_scheme, correlation_spectrum, equal_ground_state,
+                        parallel_dipole, perpendicular_dipole, propagation,
+                        pump_hamiltonian, pump_only_steady_state)
 from mirrorless.levels import probe_raising, pump_raising
 from mirrorless.propagation import (CellConfig, _closed_form,
                                     absorption_coefficients, output_curve,
@@ -117,6 +120,33 @@ def test_undriven_alpha_matches_two_level_oracle(scheme8, cell):
             * float(np.sum(np.abs(probe_raising(scheme8)) ** 2))
         assert alpha_z == pytest.approx(expect_z, rel=1e-5)
         assert alpha_x == pytest.approx(expect_x, rel=1e-5)
+
+
+# every valid F_g -> F_e line of at most 12 sublevels, dark lines included
+LINES = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2),
+         (0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5), (1.5, 2.5),
+         (2.5, 1.5), (2.5, 2.5)]
+
+
+@pytest.mark.parametrize("line", LINES, ids=lambda l: f"{l[0]:g}->{l[1]:g}")
+def test_undriven_alpha_matches_regression_spectrum(line, cell):
+    # the closed-form unpumped alpha against kappa times the regression
+    # spectrum of the undriven equal ground mixture at delta = 0
+    scheme = build_scheme(*line)
+    rho = equal_ground_state(scheme)
+    for delta in (0.0, 0.75, 3.0):
+        f = FieldConfig(omega_p=0.0, omega_pr=0.0, delta_p=delta,
+                        delta_pr=delta)
+        alphas = absorption_coefficients(
+            np.zeros((scheme.dim, scheme.dim), dtype=complex), scheme, f, cell)
+        L = build_liouvillian(pump_hamiltonian(scheme, 0.0, delta),
+                              build_collapse(scheme))
+        for alpha, d_op in zip(alphas, (parallel_dipole(scheme),
+                                        perpendicular_dipole(scheme))):
+            g = correlation_spectrum(L, rho, d_op, [0.0],
+                                     normalized=False).absorption[0]
+            assert alpha == pytest.approx(cell.absorption_scale * g,
+                                          rel=1e-12)
 
 
 def test_closed_form_alpha_zero_limit():

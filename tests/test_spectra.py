@@ -313,6 +313,24 @@ def test_min_absorption_resonant_tie_resolves_to_lowest_delta(scheme12):
     assert all(p.delta_at_min <= 0 for p in scan.points)
 
 
+@pytest.mark.parametrize("delta_p", [0.0, 0.75])
+def test_min_absorption_scan_matches_eigen_route(scheme8, scheme12, delta_p):
+    # the Schur-engine minimum against the eigenmode resolvent on its grid
+    grid = np.linspace(-6.0, 6.0, 61)
+    for scheme in (scheme8, scheme12):
+        d_op = perpendicular_dipole(scheme)
+        scan = min_absorption_scan(scheme, delta_p, [0.5, 2.0, 4.0],
+                                   delta_grid=grid)
+        for p in scan.points:
+            rho, L = pump_only_steady_state(scheme, p.omega_p, delta_p)
+            ref = resolvent_spectrum(L, rho, d_op, grid).absorption
+            bound = 1e-10 * np.max(np.abs(ref))
+            at_min = resolvent_spectrum(L, rho, d_op,
+                                        [p.delta_at_min]).absorption[0]
+            assert abs(p.min_absorption - at_min) <= bound
+            assert ref.min() >= p.min_absorption - bound
+
+
 def test_min_absorption_vanishing_drive(scheme12):
     scan = min_absorption_scan(scheme12, 0.0, [0.02])
     p = scan.points[0]
