@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, sqrt
 from typing import Dict, Tuple
 
@@ -148,11 +149,13 @@ def _dipole_weight_signed(tFg, tmg, tFe, tme, tq) -> Tuple[int, Fraction]:
     return phase * sign3, Fraction(tFg + 1) * sq3
 
 
+@lru_cache(maxsize=1024)
 def dipole_weight(F_g, m_g, F_e, m_e, q: int) -> float:
     """Relative dipole matrix element <F_g m_g|er_q|F_e m_e> / <F_g||er||F_e>.
 
     ``q`` is the spherical index of the field polarization; the weight is zero
     unless m_e + q - m_g = 0 (the 3-j convention used throughout).
+    Memoized: the exact evaluation is pure and costs far more than a lookup.
     """
     if q not in (-1, 0, 1):
         raise ValueError(f"spherical index q must be -1, 0 or +1, got {q}")

@@ -7,19 +7,27 @@ with the three decay channels of :class:`mirrorless.levels.CollapseChannels`.
 Density matrices are vectorized row-major, vec(rho)[i*d + j] = rho[i, j], so
 vec(A rho B) = (A kron B^T) vec(rho).
 
-Dimensions here are small (d <= 12, superoperators <= 144x144), so everything
-is dense; steady states come from one singular value decomposition of L
-(its null singular vectors), and time evolution from exact propagators
-e^{L dt} (scaling and squaring), one per distinct sampling interval.
+Dimensions here are small (d <= 12, superoperators <= 144x144), and the
+algebra is block dense: the pi pump and the three decay channels conserve
+the coherence order q = m_i - m_j, so the pump-only L is block diagonal
+(for 2 -> 3 the largest block is 22 x 22).  The blocks are found from L's
+nonzero pattern (:func:`_blocks`), so no symmetry is assumed: a field that
+mixes q merges them.  Each block is factorized on its own and the results
+are scattered back into the full vector.  Steady states come from one
+singular value decomposition per block (the null singular vectors), and
+time evolution from exact propagators e^{L dt} (scaling and squaring) of
+the blocks the initial state occupies, one per distinct sampling interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from .levels import (CollapseChannels, LevelScheme, build_collapse,
                      pump_hamiltonian)
@@ -103,6 +111,29 @@ def build_liouvillian(H: np.ndarray, channels: CollapseChannels) -> Liouvillian:
     return Liouvillian(matrix=L, dim=d)
 
 
+@lru_cache(maxsize=64)
+def _components(n: int, packed: bytes) -> Tuple[np.ndarray, ...]:
+    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                            count=n * n).reshape(n, n)
+    count, labels = connected_components(pattern, connection="weak")
+    blocks = tuple(np.flatnonzero(labels == k) for k in range(count))
+    for b in blocks:
+        b.flags.writeable = False
+    return blocks
+
+
+def _blocks(A: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Index sets of the diagonal blocks of the square matrix A.
+
+    They are the connected components of A's nonzero pattern, so
+    A[b, c] = 0 for any two distinct sets b, c, and each set is ascending.
+    Memoized on the packed pattern: a scan over field strengths pays for it
+    once.
+    """
+    pattern = np.asarray(A) != 0
+    return _components(pattern.shape[0], np.packbits(pattern).tobytes())
+
+
 def density_matrix_defects(rho: np.ndarray) -> Tuple[float, float, float]:
     """(hermiticity defect, trace defect, most negative eigenvalue)."""
     herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -139,10 +170,12 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
 
     Each sample is the previous one times the exact propagator e^{L dt}: a
     uniform grid uses a single matrix exponential, any other grid one per
-    interval.  The per-sample invariant repair is limited to
+    interval, each taken only on the diagonal blocks of L that rho0 (or
+    its transpose, which the repair mixes in) occupies; the other blocks
+    stay exactly zero.  The per-sample invariant repair is limited to
     re-Hermitization; trace drift is left observable as a diagnostic.
     """
-    d = L.dim
+    d, n = L.dim, L.dim * L.dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise ValueError("initial state dimension mismatch")
@@ -162,13 +195,24 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
     even = t_grid[-1] * np.arange(t_grid.size) / max(steps.size, 1)
     uniform = steps.size > 0 and np.max(np.abs(t_grid - even)) \
         <= 4 * np.finfo(float).eps * t_grid[-1]
-    step = expm(L.matrix * (t_grid[-1] / steps.size)) if uniform else None
-    states = np.empty((t_grid.size, d, d), dtype=complex)
+    # blocks of L joined with their images under vec(X) -> vec(X^T), so
+    # the Hermitian repair never leaves the occupied ones
+    flip = np.arange(n).reshape(d, d).T.ravel()
+    pattern = L.matrix != 0
+    x0 = rho0.reshape(-1)
+    live = [b for b in _blocks(pattern | pattern[np.ix_(flip, flip)])
+            if np.any(x0[b]) or np.any(x0[flip[b]])]
+    idx = np.concatenate(live) if live else np.arange(0)
+    A = L.matrix[np.ix_(idx, idx)]
+    step = expm(A * (t_grid[-1] / steps.size)) if uniform else None
+    states = np.zeros((t_grid.size, d, d), dtype=complex)
     states[0] = rho0
+    flat = states.reshape(t_grid.size, n)
     for k, dt in enumerate(steps, start=1):
-        prop = step if uniform else expm(L.matrix * dt)
-        rho = (prop @ states[k - 1].reshape(-1)).reshape(d, d)
-        states[k] = 0.5 * (rho + rho.conj().T) if hermitize else rho
+        prop = step if uniform else expm(A * dt)
+        flat[k, idx] = prop @ flat[k - 1, idx]
+        if hermitize:
+            states[k] = 0.5 * (states[k] + states[k].conj().T)
     return Evolution(times=t_grid, states=states)
 
 
@@ -179,36 +223,46 @@ _RESIDUAL_TOL = 1e-8
 
 
 def _nullity(s: np.ndarray) -> int:
-    """Null-space dimension (at least 1) from descending singular values."""
-    scale = s[0] if s[0] > 0 else 1.0
+    """Null-space dimension (at least 1) from singular values in any order."""
+    scale = float(np.max(s)) or 1.0
     return max(1, int(np.sum(s <= _NULL_REL_TOL * scale)))
 
 
 def steady_state(L: Liouvillian, mode: str = "unique",
                  rho0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve L[rho] = 0 with Tr rho = 1 from one SVD L = U S V^H.
+    """Solve L[rho] = 0 with Tr rho = 1 from the SVD L = U S V^H.
 
-    The null space is spanned by the right singular vectors V0 whose
-    singular values fall below 1e-10 of the largest.  mode='unique'
-    (default) requires it to be one-dimensional and raises
+    L is block diagonal (see :func:`_blocks`), so its SVD is the union of
+    one SVD per block, each block's singular vectors scattered into the
+    full space.  The null space is spanned by the right singular vectors
+    V0 whose singular values fall below 1e-10 of the largest.
+    mode='unique' (default) requires it to be one-dimensional and raises
     :class:`DegenerateSteadyStateError` (carrying the measured dimension)
     otherwise.  mode='project' returns the infinite-time limit reached from
     ``rho0``, P rho0 with the spectral projector P = V0 (U0^H V0)^-1 U0^H
     onto the kernel along the range of L (U0: the left null vectors).
     """
-    d = L.dim
-    U, s, Vh = np.linalg.svd(L.matrix)
-    nullity = _nullity(s)
+    d, n = L.dim, L.dim * L.dim
+    parts = [(b, *np.linalg.svd(L.matrix[np.ix_(b, b)]))
+             for b in _blocks(L.matrix)]
+    # (singular value, block, position in the block), ascending
+    ranked = sorted((sv, k, i) for k, p in enumerate(parts)
+                    for i, sv in enumerate(p[2]))
+    nullity = _nullity(np.array([r[0] for r in ranked]))
+    if nullity > 1 and mode != "project":
+        raise DegenerateSteadyStateError(nullity)
+    if nullity > 1 and rho0 is None:
+        raise ValueError("mode='project' requires an initial state rho0")
+    U0, V0 = np.zeros((2, n, nullity), dtype=complex)
+    for j, (_, k, i) in enumerate(ranked[:nullity]):
+        b, U, _, Vh = parts[k]
+        U0[b, j], V0[b, j] = U[:, i], Vh[i].conj()
     if nullity == 1:
         # the SVD fixes no phase: divide by the complex trace first
-        rho = unvectorize(Vh[-1].conj(), d)
+        rho = unvectorize(V0[:, 0], d)
         rho = rho / np.trace(rho)
-    elif mode != "project":
-        raise DegenerateSteadyStateError(nullity)
-    elif rho0 is None:
-        raise ValueError("mode='project' requires an initial state rho0")
     else:
-        U0h, V0 = U[:, -nullity:].conj().T, Vh[-nullity:].conj().T
+        U0h = U0.conj().T
         coeff = np.linalg.solve(U0h @ V0, U0h @ vectorize(rho0))
         rho = unvectorize(V0 @ coeff, d)
     rho = 0.5 * (rho + rho.conj().T)

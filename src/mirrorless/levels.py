@@ -14,6 +14,7 @@ in 1/Gamma; physical units enter only in the propagation layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -41,7 +42,8 @@ class LevelScheme:
     F_g: float
     F_e: float
     sublevels: Tuple[Tuple[str, float], ...]
-    index_map: Dict[Tuple[str, float], int] = field(repr=False)
+    # derived from sublevels, so left out of comparison and hashing
+    index_map: Dict[Tuple[str, float], int] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -255,8 +257,11 @@ def pump_hamiltonian(scheme: LevelScheme, omega_p: float, delta_p: float,
     return h
 
 
+@lru_cache(maxsize=16)
 def build_collapse(scheme: LevelScheme) -> CollapseChannels:
-    """Collapse operators for the Delta m = 0, -1, +1 decay channels."""
+    """Collapse operators for the Delta m = 0, -1, +1 decay channels.
+
+    Memoized per line; the returned arrays are read-only."""
     table = branching_ratios(scheme.F_g, scheme.F_e)
     d = scheme.dim
     sigmas = [np.zeros((d, d), dtype=complex) for _ in range(3)]

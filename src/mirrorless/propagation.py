@@ -23,7 +23,6 @@ import numpy as np
 from scipy.constants import c as _c
 from scipy.constants import epsilon_0 as _eps0
 from scipy.constants import hbar as _hbar
-from scipy.integrate import solve_ivp
 
 from .dynamics import pump_only_steady_state
 from .levels import (FieldConfig, LevelScheme, build_collapse, probe_raising,
@@ -306,6 +305,10 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
         I_z = _closed_form(I_z0, co.alpha_z, co.source_z, y)
         I_x = _closed_form(I_x0, co.alpha_x, co.source_x, y)
     else:
+        # scipy.integrate (with scipy.optimize) takes ~0.3 s to import and
+        # only this branch uses it
+        from scipy.integrate import solve_ivp
+
         def rhs(_, I):
             return [-co.alpha_z * I[0] + co.source_z,
                     -co.alpha_x * I[1] + co.source_x]

@@ -8,13 +8,17 @@ the two-time dipole correlation function via the quantum regression theorem:
 with d+ the polarization-weighted raising operator.  The correlator evolves
 the commutator state x0 = d+ rho_ss - rho_ss d+ under the same Liouvillian L
 that generates the dynamics, so the half-Fourier integral is the resolvent
--w . (L - i omega)^-1 x0 on the trace-free subspace; it is evaluated from one
-complex Schur factorization of L with its zero mode deflated, built once per
+-w . (L - i omega)^-1 x0 on the trace-free subspace; it is evaluated from
+complex Schur factorizations of L with its zero mode deflated, built once per
 operating point; every regression spectrum the program computes comes from
-it.  The spectra are reported against the pump-probe frequency offset
-delta = omega_p - omega_pr (so delta = -omega relative to the driving frame)
-and normalized so the undriven absorption Lorentzian peaks at 1.  Positive
-values mean attenuation; negative values mean probe gain.
+them.  The algebra is block dense, as in :mod:`mirrorless.dynamics`: only
+the diagonal blocks of L that both x0 and w occupy are factorized (for the
+perpendicular dipole the coherence orders q = +-1, two 20 x 20 blocks on
+the 2 -> 3 line).  The spectra are reported against the pump-probe
+frequency offset delta = omega_p - omega_pr (so delta = -omega relative to
+the driving frame) and normalized so the undriven absorption Lorentzian
+peaks at 1.  Positive values mean attenuation; negative values mean probe
+gain.
 
 Two independent routes to the same response are provided for
 cross-validation: a resolvent (Lorentzian-sum) evaluation over the
@@ -35,11 +39,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
+from scipy.linalg import schur
 
-from .dynamics import (DegenerateSteadyStateError, Liouvillian, _nullity,
-                       build_liouvillian, pump_only_steady_state, steady_state,
-                       vectorize)
+from .dynamics import (DegenerateSteadyStateError, Liouvillian, _blocks,
+                       _nullity, build_liouvillian, pump_only_steady_state,
+                       steady_state, vectorize)
 from .levels import (LevelScheme, build_collapse, probe_raising,
                      pump_hamiltonian, pump_raising)
 
@@ -121,6 +125,17 @@ _UNDAMPED_REL_TOL = 1e-10
 _UNDAMPED_WEIGHT_TOL = 1e-8
 
 
+def _shifted_back_substitution(T: np.ndarray, z: np.ndarray,
+                               shifts: np.ndarray) -> np.ndarray:
+    """Rows y_j solving (T + shifts_j) y_j = z, T upper triangular: one
+    back substitution over all shifts at once."""
+    k = len(z)
+    y = np.empty((len(shifts), k), dtype=complex)
+    for i in range(k - 1, -1, -1):
+        y[:, i] = (z[i] - y[:, i + 1:] @ T[i, i + 1:]) / (T[i, i] + shifts)
+    return y
+
+
 def _regression_engine(L: Liouvillian, rho_ss: np.ndarray,
                        d_op: DipoleOperator) -> Callable:
     """Factorize (see :func:`correlation_spectrum`); return delta_grid -> g."""
@@ -128,20 +143,25 @@ def _regression_engine(L: Liouvillian, rho_ss: np.ndarray,
     x0 = vectorize(d_op.d_plus @ rho_ss - rho_ss @ d_op.d_plus)
     M = L.matrix + np.outer(vectorize(rho_ss), vectorize(np.eye(L.dim)))
     thresh = -_UNDAMPED_REL_TOL * max(np.linalg.norm(M, 1), 1.0)
-    T, Z, k = schur(M, output="complex", sort=lambda lam: lam.real < thresh)
-    z = Z.conj().T @ x0
+    factors, undamped = [], 0.0
+    for b in _blocks(M):
+        if not (np.any(x0[b]) and np.any(w[b])):
+            continue  # the block adds exactly zero to w . (M - i delta)^-1 x0
+        T, Z, k = schur(M[np.ix_(b, b)], output="complex",
+                        sort=lambda lam: lam.real < thresh)
+        z = Z.conj().T @ x0[b]
+        undamped += float(np.linalg.norm(z[k:])) ** 2
+        factors.append((T[:k, :k], w[b] @ Z[:, :k], z[:k]))
     x_norm = float(np.linalg.norm(x0))
-    weight = float(np.linalg.norm(z[k:])) / x_norm if x_norm else 0.0
+    weight = np.sqrt(undamped) / x_norm if x_norm else 0.0
     if weight > _UNDAMPED_WEIGHT_TOL:
         raise CorrelationWindowError(weight)
-    T, u, z = T[:k, :k], w @ Z[:, :k], z[:k]
-    diag, on_diag = np.diag(T).copy(), np.diag_indices(k)
 
     def evaluate(delta_grid: np.ndarray) -> np.ndarray:
-        g = np.empty(len(delta_grid))
-        for i, delta in enumerate(delta_grid):
-            T[on_diag] = diag - 1j * delta
-            g[i] = -np.real(u @ solve_triangular(T, z, check_finite=False))
+        shifts = -1j * np.asarray(delta_grid, dtype=float)
+        g = np.zeros(len(shifts))
+        for T, u, z in factors:
+            g -= np.real(_shifted_back_substitution(T, z, shifts) @ u)
         return g
 
     return evaluate
@@ -155,11 +175,13 @@ def correlation_spectrum(L: Liouvillian, rho_ss: np.ndarray,
     The half-Fourier transform of C(tau) = w . e^{L tau} x0 is evaluated in
     the frequency domain, g(delta) = -Re w . (M - i delta)^-1 x0, with
     M = L + |rho_ss><vec 1| (the zero mode deflated to eigenvalue Tr rho_ss;
-    M acts as L on the trace-free x0).  M is factorized once by a complex
-    Schur decomposition ordered damped modes first, so each offset costs one
-    triangular solve on the damped block and no window or sampling error
-    enters.  If more than 1e-8 of x0's norm lies off the damped invariant
-    subspace (modes with Re lambda >= -1e-10 |M|_1), the correlation never
+    M acts as L on the trace-free x0).  Each diagonal block of M that both
+    x0 and w occupy is factorized once by a complex Schur decomposition
+    ordered damped modes first (the other blocks add exactly zero), so the
+    whole offset grid costs one back substitution per block on its damped
+    part and no window or sampling error enters.  If more than 1e-8 of
+    x0's norm lies off the damped invariant subspaces (modes with
+    Re lambda >= -1e-10 |M|_1) of those blocks, the correlation never
     decays and :class:`CorrelationWindowError` reports that relative weight.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
@@ -239,7 +261,10 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
     """
     L = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
                           build_collapse(scheme))
-    nullity = _nullity(np.linalg.svd(L.matrix, compute_uv=False))
+    # the singular values of L are the union of its blocks'
+    nullity = _nullity(np.concatenate(
+        [np.linalg.svd(L.matrix[np.ix_(b, b)], compute_uv=False)
+         for b in _blocks(L.matrix)]))
     if nullity > 1:
         raise DegenerateSteadyStateError(nullity)
     return _weak_probe(scheme, L, omega_pr, delta_grid, n_harmonics,

@@ -12,6 +12,11 @@ library code it checks:
   time domain with one scipy matrix exponential, and
   ``half_fourier_oracle`` transforms it with an endpoint-corrected
   trapezoid (the library evaluates the same transform as a resolvent).
+* ``steady_state_oracle``, ``regression_oracle`` and ``evolve_oracle`` are
+  the full-matrix forms of the library's steady state, regression spectrum
+  and evolution: one SVD, one ordered Schur form with one triangular solve
+  per offset, and one matrix exponential of the whole 144 x 144 (at most)
+  Liouvillian (the library factorizes its diagonal blocks one by one).
 * ``weak_probe_oracle`` solves the whole truncated harmonic-balance system,
   every harmonic at once, bordered by the trace condition, by dense
   least squares (the library eliminates the harmonics by a matrix continued
@@ -22,7 +27,7 @@ from fractions import Fraction
 from math import factorial, sqrt
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur, solve_triangular
 
 
 def _fac(n: int) -> int:
@@ -239,3 +244,55 @@ def weak_probe_oracle(L0, v_plus, deltas, n_harmonics):
         rho1 = sol[(k0 + 1) * n:(k0 + 2) * n].reshape(d, d)
         out.append(-np.imag(np.trace(v_plus.conj().T @ rho1)))
     return np.array(out)
+
+
+def steady_state_oracle(L, mode="unique", rho0=None):
+    """Null vector(s) of the whole L from one SVD, with the definitions of
+    ``steady_state``: singular values below 1e-10 of the largest span the
+    null space; 'project' applies V0 (U0^H V0)^-1 U0^H to rho0."""
+    d = int(round(np.sqrt(L.shape[0])))
+    U, s, Vh = np.linalg.svd(L)
+    nullity = max(1, int(np.sum(s <= 1e-10 * s[0])))
+    if nullity == 1:
+        rho = Vh[-1].conj().reshape(d, d)
+        rho = rho / np.trace(rho)
+    else:
+        assert mode == "project", f"null space of dimension {nullity}"
+        U0h, V0 = U[:, -nullity:].conj().T, Vh[-nullity:].conj().T
+        rho = (V0 @ np.linalg.solve(U0h @ V0, U0h @ rho0.reshape(-1))
+               ).reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def regression_oracle(L, rho_ss, d_plus, deltas):
+    """g(delta) = -Re w . (M - i delta)^-1 x0 with M = L + |rho_ss><vec 1|,
+    from one Schur form of the whole M ordered damped-first and one
+    ``solve_triangular`` per offset on the damped block."""
+    d = rho_ss.shape[0]
+    w = d_plus.conj().reshape(-1)  # w . vec X = Tr[d- X]
+    x0 = (d_plus @ rho_ss - rho_ss @ d_plus).reshape(-1)
+    M = L + np.outer(rho_ss.reshape(-1), np.eye(d).reshape(-1))
+    thresh = -1e-10 * max(np.linalg.norm(M, 1), 1.0)
+    T, Z, k = schur(M, output="complex", sort=lambda lam: lam.real < thresh)
+    z = Z.conj().T @ x0
+    assert np.linalg.norm(z[k:]) <= 1e-8 * np.linalg.norm(x0)
+    T, u, z = T[:k, :k], w @ Z[:, :k], z[:k]
+    return np.array([-np.real(u @ solve_triangular(
+        T - 1j * delta * np.eye(k), z)) for delta in deltas])
+
+
+def evolve_oracle(L, rho0, t_grid, hermitize=True):
+    """rho0 stepped through ``t_grid`` by exponentials of the whole L: one
+    for an np.linspace grid, else one per interval; Hermitized after each
+    step when asked."""
+    d, n_steps = rho0.shape[0], len(t_grid) - 1
+    even = np.linspace(0.0, t_grid[-1], len(t_grid))
+    step = expm(L * (t_grid[-1] / n_steps)) \
+        if np.array_equal(t_grid, even) else None
+    states = [np.asarray(rho0, dtype=complex)]
+    for dt in np.diff(t_grid):
+        prop = expm(L * dt) if step is None else step
+        rho = (prop @ states[-1].reshape(-1)).reshape(d, d)
+        states.append(0.5 * (rho + rho.conj().T) if hermitize else rho)
+    return np.array(states)

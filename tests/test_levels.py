@@ -127,6 +127,16 @@ def test_collapse_entries_and_total_rate(scheme8):
         [1, 0, 1, 0, 1, 0, 1, 1], abs=1e-14)
 
 
+def test_collapse_memoized_per_line_and_read_only(scheme8):
+    # equal schemes share one set of operators, which nobody may modify
+    ch = build_collapse(build_scheme(1, 2))
+    assert build_collapse(scheme8) is ch
+    assert build_collapse(build_scheme(2, 3)) is not ch
+    for s in ch.sigmas:
+        with pytest.raises(ValueError):
+            s[0, 0] = 1.0
+
+
 def test_collapse_channel_separation(scheme8):
     ch = build_collapse(scheme8)
     for k, dm in ((0, 0.0), (1, -1.0), (2, 1.0)):
