@@ -1,6 +1,6 @@
 """Per-layer cost of the blocked linear algebra against the full-matrix routes.
 
-    python bench/layers.py [--repeats 15] [--output BENCH_blocks.json]
+    python bench/layers.py [--output BENCH_blocks.json]
 
 Run from the root of a source checkout: the program is imported from
 ``src/`` and the full-matrix routes from ``tests/oracles.py``. For the
@@ -8,16 +8,15 @@ Run from the root of a source checkout: the program is imported from
 layer is timed on the blocked route the program uses and on the full-matrix
 route it replaced, and the two results are compared:
 
-- assembly: ``build_liouvillian`` plus ``_blocks`` (memoized on the nonzero
-  pattern, so a scan pays for the search once; its cold cost is listed
-  apart) against ``build_liouvillian`` alone; the deviation is that of the
-  assembled L from the element-by-element master equation;
 - steady_state: one SVD per block against one SVD of L;
 - regression_321: the perpendicular-probe spectrum on 321 offsets, Schur
-  factorization included;
-- evolve_401: 401 uniform samples from the equal ground mixture.
+  factorization included.
 
-Each time is the median of ``--repeats`` runs in this process after one
+Listed apart, without a full-matrix counterpart: ``build_liouvillian_s``,
+one assembly of L, and ``blocks_cold_s``, one search for its blocks with the
+memo cleared (a scan pays for that search once per nonzero pattern).
+
+Each time is the median of ``REPEATS`` runs in this process after one
 warm-up, in seconds. ``max_dev`` is the largest absolute difference, divided
 by the largest magnitude of the full route's result (states have trace 1).
 """
@@ -41,23 +40,22 @@ import scipy  # noqa: E402
 
 import mirrorless  # noqa: E402,F401  (pins BLAS to one thread first)
 from mirrorless import (build_collapse, build_liouvillian,  # noqa: E402
-                        build_scheme, equal_ground_state, evolve,
-                        steady_state)
+                        build_scheme, steady_state)
 from mirrorless.dynamics import _blocks, _components  # noqa: E402
 from mirrorless.levels import pump_hamiltonian  # noqa: E402
 from mirrorless.spectra import (correlation_spectrum,  # noqa: E402
                                 perpendicular_dipole)
-from oracles import (evolve_oracle, master_rhs_oracle,  # noqa: E402
-                     regression_oracle, steady_state_oracle)
+from oracles import regression_oracle, steady_state_oracle  # noqa: E402
 
 OMEGA_P, DELTA_P = 3.0, 1.5
+REPEATS = 15
 LINES = {"1->2": (1, 2), "2->3": (2, 3)}
 
 
-def _median_time(fn, repeats):
+def _median_time(fn):
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -82,7 +80,7 @@ def _sig(x):
     return float(f"{x:.3g}")
 
 
-def _line(line, repeats):
+def _line(line):
     scheme = build_scheme(*line)
     H = pump_hamiltonian(scheme, OMEGA_P, DELTA_P)
     channels = build_collapse(scheme)
@@ -90,20 +88,12 @@ def _line(line, repeats):
     rho = steady_state(L)
     d_op = perpendicular_dipole(scheme)
     grid = np.linspace(-12.0, 12.0, 321)
-    rho0 = equal_ground_state(scheme)
-    t_grid = np.linspace(0.0, 1000.0, 401)
-    probe = np.random.default_rng(1).normal(size=(scheme.dim, scheme.dim))
 
     def cold_blocks():
         _components.cache_clear()
         return _blocks(L.matrix)
 
     layers = {
-        "assembly": (
-            lambda: _blocks(build_liouvillian(H, channels).matrix),
-            lambda: build_liouvillian(H, channels),
-            _dev(L.apply(probe),
-                 master_rhs_oracle(H, channels.sigmas, probe))),
         "steady_state": (
             lambda: steady_state(L), lambda: steady_state_oracle(L.matrix),
             _dev(rho, steady_state_oracle(L.matrix))),
@@ -113,18 +103,15 @@ def _line(line, repeats):
             _dev(correlation_spectrum(L, rho, d_op, grid,
                                       normalized=False).absorption,
                  regression_oracle(L.matrix, rho, d_op.d_plus, grid))),
-        "evolve_401": (
-            lambda: evolve(L, rho0, t_grid[-1], t_eval=t_grid),
-            lambda: evolve_oracle(L.matrix, rho0, t_grid),
-            _dev(evolve(L, rho0, t_grid[-1], t_eval=t_grid).states,
-                 evolve_oracle(L.matrix, rho0, t_grid))),
     }
     out = {"dim": scheme.dim,
            "block_sizes": sorted((len(b) for b in _blocks(L.matrix)),
                                  reverse=True),
-           "blocks_cold_s": _sig(_median_time(cold_blocks, repeats))}
+           "build_liouvillian_s": _sig(_median_time(
+               lambda: build_liouvillian(H, channels))),
+           "blocks_cold_s": _sig(_median_time(cold_blocks))}
     for name, (blocked, full, dev) in layers.items():
-        b, f = _median_time(blocked, repeats), _median_time(full, repeats)
+        b, f = _median_time(blocked), _median_time(full)
         out[name] = {"blocked_s": _sig(b), "full_s": _sig(f),
                      "speedup": _sig(f / b), "max_dev": _sig(dev)}
     return out
@@ -132,20 +119,18 @@ def _line(line, repeats):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--output", default=str(ROOT / "BENCH_blocks.json"))
     args = parser.parse_args(argv)
     report = {
         "script": "bench/layers.py",
         "operating_point": {"omega_p": OMEGA_P, "delta_p": DELTA_P},
-        "timing": f"median of {args.repeats} runs after one warm-up, s",
+        "timing": f"median of {REPEATS} runs after one warm-up, s",
         "conditions": {
             "cpu": _cpu(), "cpus": os.cpu_count(),
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
             "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
-        "lines": {name: _line(line, args.repeats)
-                  for name, line in LINES.items()},
+        "lines": {name: _line(line) for name, line in LINES.items()},
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n",
                                  encoding="utf-8")

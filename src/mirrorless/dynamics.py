@@ -14,9 +14,9 @@ the coherence order q = m_i - m_j, so the pump-only L is block diagonal
 nonzero pattern (:func:`_blocks`), so no symmetry is assumed: a field that
 mixes q merges them.  Each block is factorized on its own and the results
 are scattered back into the full vector.  Steady states come from one
-singular value decomposition per block (the null singular vectors), and
-time evolution from exact propagators e^{L dt} (scaling and squaring) of
-the blocks the initial state occupies, one per distinct sampling interval.
+singular value decomposition per block (the null singular vectors).  Time
+evolution uses exact propagators e^{L dt} (scaling and squaring) of the
+whole L, one per distinct sampling interval.
 """
 
 from __future__ import annotations
@@ -134,6 +134,14 @@ def _blocks(A: np.ndarray) -> Tuple[np.ndarray, ...]:
     return _components(pattern.shape[0], np.packbits(pattern).tobytes())
 
 
+def _block_svds(L: Liouvillian
+                ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(block, U, s, Vh) with L[b, b] = U diag(s) Vh for each diagonal block b
+    of L; the singular values of L are the union of the blocks' s."""
+    return [(b, *np.linalg.svd(L.matrix[np.ix_(b, b)]))
+            for b in _blocks(L.matrix)]
+
+
 def density_matrix_defects(rho: np.ndarray) -> Tuple[float, float, float]:
     """(hermiticity defect, trace defect, most negative eigenvalue)."""
     herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -170,12 +178,10 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
 
     Each sample is the previous one times the exact propagator e^{L dt}: a
     uniform grid uses a single matrix exponential, any other grid one per
-    interval, each taken only on the diagonal blocks of L that rho0 (or
-    its transpose, which the repair mixes in) occupies; the other blocks
-    stay exactly zero.  The per-sample invariant repair is limited to
+    interval.  The per-sample invariant repair is limited to
     re-Hermitization; trace drift is left observable as a diagnostic.
     """
-    d, n = L.dim, L.dim * L.dim
+    d = L.dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise ValueError("initial state dimension mismatch")
@@ -195,24 +201,13 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
     even = t_grid[-1] * np.arange(t_grid.size) / max(steps.size, 1)
     uniform = steps.size > 0 and np.max(np.abs(t_grid - even)) \
         <= 4 * np.finfo(float).eps * t_grid[-1]
-    # blocks of L joined with their images under vec(X) -> vec(X^T), so
-    # the Hermitian repair never leaves the occupied ones
-    flip = np.arange(n).reshape(d, d).T.ravel()
-    pattern = L.matrix != 0
-    x0 = rho0.reshape(-1)
-    live = [b for b in _blocks(pattern | pattern[np.ix_(flip, flip)])
-            if np.any(x0[b]) or np.any(x0[flip[b]])]
-    idx = np.concatenate(live) if live else np.arange(0)
-    A = L.matrix[np.ix_(idx, idx)]
-    step = expm(A * (t_grid[-1] / steps.size)) if uniform else None
-    states = np.zeros((t_grid.size, d, d), dtype=complex)
+    step = expm(L.matrix * (t_grid[-1] / steps.size)) if uniform else None
+    states = np.empty((t_grid.size, d, d), dtype=complex)
     states[0] = rho0
-    flat = states.reshape(t_grid.size, n)
     for k, dt in enumerate(steps, start=1):
-        prop = step if uniform else expm(A * dt)
-        flat[k, idx] = prop @ flat[k - 1, idx]
-        if hermitize:
-            states[k] = 0.5 * (states[k] + states[k].conj().T)
+        prop = step if uniform else expm(L.matrix * dt)
+        rho = (prop @ states[k - 1].reshape(-1)).reshape(d, d)
+        states[k] = 0.5 * (rho + rho.conj().T) if hermitize else rho
     return Evolution(times=t_grid, states=states)
 
 
@@ -243,8 +238,7 @@ def steady_state(L: Liouvillian, mode: str = "unique",
     onto the kernel along the range of L (U0: the left null vectors).
     """
     d, n = L.dim, L.dim * L.dim
-    parts = [(b, *np.linalg.svd(L.matrix[np.ix_(b, b)]))
-             for b in _blocks(L.matrix)]
+    parts = _block_svds(L)
     # (singular value, block, position in the block), ascending
     ranked = sorted((sv, k, i) for k, p in enumerate(parts)
                     for i, sv in enumerate(p[2]))

@@ -41,9 +41,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import schur
 
-from .dynamics import (DegenerateSteadyStateError, Liouvillian, _blocks,
-                       _nullity, build_liouvillian, pump_only_steady_state,
-                       steady_state, vectorize)
+from .dynamics import (DegenerateSteadyStateError, Liouvillian, _block_svds,
+                       _blocks, _nullity, build_liouvillian,
+                       pump_only_steady_state, steady_state, vectorize)
 from .levels import (LevelScheme, build_collapse, probe_raising,
                      pump_hamiltonian, pump_raising)
 
@@ -261,10 +261,7 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
     """
     L = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
                           build_collapse(scheme))
-    # the singular values of L are the union of its blocks'
-    nullity = _nullity(np.concatenate(
-        [np.linalg.svd(L.matrix[np.ix_(b, b)], compute_uv=False)
-         for b in _blocks(L.matrix)]))
+    nullity = _nullity(np.concatenate([s for _, _, s, _ in _block_svds(L)]))
     if nullity > 1:
         raise DegenerateSteadyStateError(nullity)
     return _weak_probe(scheme, L, omega_pr, delta_grid, n_harmonics,

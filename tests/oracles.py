@@ -12,11 +12,11 @@ library code it checks:
   time domain with one scipy matrix exponential, and
   ``half_fourier_oracle`` transforms it with an endpoint-corrected
   trapezoid (the library evaluates the same transform as a resolvent).
-* ``steady_state_oracle``, ``regression_oracle`` and ``evolve_oracle`` are
-  the full-matrix forms of the library's steady state, regression spectrum
-  and evolution: one SVD, one ordered Schur form with one triangular solve
-  per offset, and one matrix exponential of the whole 144 x 144 (at most)
-  Liouvillian (the library factorizes its diagonal blocks one by one).
+* ``steady_state_oracle`` and ``regression_oracle`` are the full-matrix
+  forms of the library's steady state and regression spectrum: one SVD, and
+  one ordered Schur form with one triangular solve per offset, of the whole
+  144 x 144 (at most) Liouvillian (the library factorizes its diagonal
+  blocks one by one).
 * ``weak_probe_oracle`` solves the whole truncated harmonic-balance system,
   every harmonic at once, bordered by the trace condition, by dense
   least squares (the library eliminates the harmonics by a matrix continued
@@ -280,19 +280,3 @@ def regression_oracle(L, rho_ss, d_plus, deltas):
     T, u, z = T[:k, :k], w @ Z[:, :k], z[:k]
     return np.array([-np.real(u @ solve_triangular(
         T - 1j * delta * np.eye(k), z)) for delta in deltas])
-
-
-def evolve_oracle(L, rho0, t_grid, hermitize=True):
-    """rho0 stepped through ``t_grid`` by exponentials of the whole L: one
-    for an np.linspace grid, else one per interval; Hermitized after each
-    step when asked."""
-    d, n_steps = rho0.shape[0], len(t_grid) - 1
-    even = np.linspace(0.0, t_grid[-1], len(t_grid))
-    step = expm(L * (t_grid[-1] / n_steps)) \
-        if np.array_equal(t_grid, even) else None
-    states = [np.asarray(rho0, dtype=complex)]
-    for dt in np.diff(t_grid):
-        prop = expm(L * dt) if step is None else step
-        rho = (prop @ states[-1].reshape(-1)).reshape(d, d)
-        states.append(0.5 * (rho + rho.conj().T) if hermitize else rho)
-    return np.array(states)

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from mirrorless import (build_collapse, build_liouvillian, build_scheme,
-                        equal_ground_state, evolve, pump_only_steady_state,
+                        equal_ground_state, pump_only_steady_state,
                         steady_state)
-from mirrorless.dynamics import Liouvillian, _blocks
+from mirrorless.dynamics import _blocks
 from mirrorless.levels import (probe_raising, pump_hamiltonian,
                                two_level_collapse, two_level_hamiltonian)
 from mirrorless.spectra import (correlation_spectrum, parallel_dipole,
                                 perpendicular_dipole, two_level_dipole)
 
 from conftest import random_density_matrix
-from oracles import evolve_oracle, regression_oracle, steady_state_oracle
+from oracles import regression_oracle, steady_state_oracle
 
 # every dipole line F_g -> F_e with at most 12 sublevels
 LINES = [(fg / 2, fe / 2) for fg in range(11) for fe in (fg - 2, fg, fg + 2)
@@ -102,48 +102,3 @@ def test_regression_matches_full_schur(case):
     grid = np.linspace(-9.0, 9.0, 181)
     g = correlation_spectrum(L, rho, d_op, grid, normalized=False).absorption
     assert _close(g, regression_oracle(L.matrix, rho, d_op.d_plus, grid))
-
-
-@pytest.mark.parametrize("line", [(1, 2), (2, 3)])
-@pytest.mark.parametrize("omega_pr", [0.0, 0.05])
-def test_evolve_matches_full_expm(line, omega_pr, rng):
-    scheme = build_scheme(*line)
-    L = _liouvillian(scheme, 2.0, 1.5, omega_pr)
-    uniform = np.linspace(0.0, 20.0, 21)
-    uneven = np.array([0.0, 0.3, 1.1, 2.0, 3.7, 5.0])
-    for rho0 in (equal_ground_state(scheme),
-                 random_density_matrix(rng, scheme.dim)):
-        for t in (uniform, uneven):
-            ev = evolve(L, rho0, t[-1], t_eval=t)
-            assert _close(ev.states, evolve_oracle(L.matrix, rho0, t))
-
-
-def test_evolve_repair_reaches_mirrored_block(scheme8):
-    # a lone q = +1 coherence: the Hermitian repair puts its conjugate in
-    # the q = -1 block, which must evolve too
-    L = _liouvillian(scheme8, 2.0, 1.5)
-    rho0 = np.zeros((8, 8), dtype=complex)
-    rho0[scheme8.index("excited", 1.0), scheme8.index("ground", 0.0)] = 0.3
-    t = np.linspace(0.0, 5.0, 11)
-    for hermitize in (True, False):
-        ev = evolve(L, rho0, 5.0, t_eval=t, hermitize=hermitize)
-        assert _close(ev.states, evolve_oracle(L.matrix, rho0, t, hermitize))
-
-
-def test_evolve_zero_state_stays_zero(scheme8):
-    L = _liouvillian(scheme8, 2.0, 1.5)
-    ev = evolve(L, np.zeros((8, 8)), 1.0, n_samples=3)
-    assert not np.any(ev.states)
-
-
-def test_evolve_generic_generator_without_transpose_symmetry(rng):
-    # a generator whose blocks are not mapped onto blocks by transposition
-    d = 3
-    A = np.zeros((d * d, d * d), dtype=complex)
-    A[1, 1], A[2, 1], A[5, 5] = -0.5, 0.7, -1.0
-    L = Liouvillian(matrix=A - 0.2 * np.eye(d * d), dim=d)
-    rho0 = np.zeros((d, d), dtype=complex)
-    rho0[0, 1] = 1.0
-    t = np.linspace(0.0, 3.0, 7)
-    ev = evolve(L, rho0, 3.0, t_eval=t)
-    assert _close(ev.states, evolve_oracle(L.matrix, rho0, t))
