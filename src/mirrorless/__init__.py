@@ -25,9 +25,9 @@ from .dynamics import (DegenerateSteadyStateError, Evolution, InversionScan,
 from .levels import (CollapseChannels, FieldConfig, LevelScheme,
                      build_collapse, build_hamiltonian, build_scheme,
                      probe_raising, pump_hamiltonian, pump_raising)
-from .propagation import (CellConfig, PropagationProfile,
-                          absorption_coefficients, output_curve, propagate,
-                          spontaneous_sources, transport_coefficients)
+from .propagation import (CellConfig, PropagationProfile, output_curve,
+                          propagate, spontaneous_sources,
+                          transport_coefficients)
 from .spectra import (CorrelationWindowError, DipoleOperator, DressedLadder,
                       PerpendicularGain, SpectrumResult, correlation_spectrum,
                       dressed_ladder, min_absorption_scan, parallel_dipole,
@@ -49,7 +49,6 @@ __all__ = [
     "dressed_ladder", "min_absorption_scan", "parallel_dipole",
     "perpendicular_dipole", "perpendicular_gain_spectrum",
     "resolvent_spectrum", "weak_probe_absorption",
-    "CellConfig", "PropagationProfile", "absorption_coefficients",
-    "output_curve", "propagate", "spontaneous_sources",
-    "transport_coefficients",
+    "CellConfig", "PropagationProfile", "output_curve", "propagate",
+    "spontaneous_sources", "transport_coefficients",
 ]

@@ -100,7 +100,6 @@ class ScenarioConfig:
     n_harmonics: int = 2
     output_path: Optional[str] = None
     output_format: str = "csv"
-    raw_text: str = ""
     source_sha256: str = ""
 
     def fields(self) -> FieldConfig:
@@ -155,7 +154,10 @@ def _coerce(section: str, key: str, raw: str):
     kind = _SCHEMA[section][key]
     try:
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if np.isfinite(value):
+                return value
+            raise ValueError(raw)
         if kind == "int":
             return int(raw)
         if kind == "bool":
@@ -167,7 +169,9 @@ def _coerce(section: str, key: str, raw: str):
             raise ValueError(raw)
         return raw.strip()
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: not a valid {kind}") from exc
+        expected = "finite float" if kind == "float" else kind
+        raise ConfigError(f"[{section}] {key} = {raw!r}: not a valid "
+                          f"{expected}") from exc
 
 
 def _grid(vals: Dict, prefix: str, scale: str = "linear") -> Optional[np.ndarray]:
@@ -209,7 +213,10 @@ def parse_config(path: str) -> ScenarioConfig:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
@@ -350,7 +357,7 @@ def parse_config(path: str) -> ScenarioConfig:
         cell=cell,
         n_harmonics=num.get("n_harmonics", 2),
         output_path=out.get("path"), output_format=fmt,
-        raw_text=text, source_sha256=hashlib.sha256(raw).hexdigest(),
+        source_sha256=hashlib.sha256(raw).hexdigest(),
     )
     _validate_workflow_inputs(cfg)
     return cfg

@@ -94,20 +94,22 @@ def unvectorize(vec: np.ndarray, d: int) -> np.ndarray:
 
 
 def build_liouvillian(H: np.ndarray, channels: CollapseChannels) -> Liouvillian:
-    """Assemble the dense generator L with drho/dt = L[rho]."""
+    """Assemble the dense generator L with drho/dt = L[rho].
+
+    With the effective Hamiltonian K = H - (i/2) sum_k s_k^+ s_k (H
+    Hermitian), L = -i K kron 1 + i 1 kron conj(K) + sum_k s_k kron conj(s_k).
+    """
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
     if H.shape != (d, d):
         raise ValueError("Hamiltonian must be square")
+    if any(s.shape != (d, d) for s in channels.sigmas):
+        raise ValueError("collapse operator dimension mismatch")
+    K = H - 0.5j * sum(s.conj().T @ s for s in channels.sigmas)
     eye = np.eye(d, dtype=complex)
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    L = -1j * np.kron(K, eye) + 1j * np.kron(eye, K.conj())
     for s in channels.sigmas:
-        if s.shape != (d, d):
-            raise ValueError("collapse operator dimension mismatch")
-        sp_sm = s.conj().T @ s
-        L += (np.kron(s, s.conj())
-              - 0.5 * np.kron(sp_sm, eye)
-              - 0.5 * np.kron(eye, sp_sm.T))
+        L += np.kron(s, s.conj())
     return Liouvillian(matrix=L, dim=d)
 
 

@@ -6,12 +6,15 @@ Couples the z-polarized pump and the orthogonally polarized emission through
     dI_x/dy = -alpha_x I_x + (Phi/4pi) n hbar omega Gamma_x,
 
 with absorption coefficients from the steady-state coherences and spontaneous
-source factors from the branching-weighted excited populations.  Internal
-atomic calculations stay in Gamma = 1 scaled units; this module owns all SI
-conversions.  The default treatment freezes alpha and Gamma at the entry
-steady state (the pump and the generated field are degenerate, so the medium
-response is evaluated once); a self-consistent per-step mode is provided as a
-clearly labeled extension.
+source factors from the branching-weighted excited populations.  All of them
+come from one pump-only Liouvillian L and its steady state per operating
+point: alpha_x, the response to the orthogonally polarized light at the pump
+frequency, is the exact linear response of that state, solved on the
+coherence-order blocks q = +-1 of L.  Internal atomic calculations stay in
+Gamma = 1 scaled units; this module owns all SI conversions.  The default
+treatment freezes alpha and Gamma at the entry steady state (the pump and the
+generated field are degenerate, so the medium response is evaluated once); a
+self-consistent per-step mode is provided as a clearly labeled extension.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from scipy.constants import c as _c
 from scipy.constants import epsilon_0 as _eps0
 from scipy.constants import hbar as _hbar
 
-from .dynamics import pump_only_steady_state
+from .dynamics import (_blocks, pump_only_steady_state, unvectorize,
+                       vectorize)
 from .levels import (FieldConfig, LevelScheme, build_collapse, probe_raising,
                      pump_raising)
-from .spectra import (degenerate_probe_steady_state, parallel_dipole,
-                      perpendicular_dipole)
+from .spectra import parallel_dipole, perpendicular_dipole
 
 
 @dataclass(frozen=True)
@@ -131,45 +134,6 @@ def _coherence_sum(V: np.ndarray, rho: np.ndarray) -> float:
     return 2.0 * float(np.imag(np.trace(V.conj().T @ rho)))
 
 
-def absorption_coefficients(rho_ss: np.ndarray, scheme: LevelScheme,
-                            fields: FieldConfig, cell: CellConfig
-                            ) -> Tuple[float, float]:
-    """(alpha_z, alpha_x) in 1/m from the steady-state coherences.
-
-    alpha = -(n omega / 2 c eps0 E0) * sum_excited i [mu, rho]_ii for the
-    respective polarization, positive meaning attenuation.  When a field
-    amplitude is zero the coefficient is evaluated in the linear-response
-    limit (a vanishing test amplitude on the corresponding polarization).
-
-    Unpumped, alpha = kappa * peak_norm / (1 + 4 Delta_p^2) exactly: every
-    excited sublevel sits at Delta_p and each optical coherence of the equal
-    ground mixture decays alone at Gamma/2, so the response is one
-    Lorentzian of peak ``DipoleOperator.peak_norm`` (the spectra's unit).
-    """
-    kappa = cell.absorption_scale
-    omega_p, omega_pr = fields.omega_p, fields.omega_pr
-
-    if omega_p == 0.0:
-        lorentzian = kappa / (1.0 + 4.0 * fields.delta_p ** 2)
-        return (lorentzian * parallel_dipole(scheme).peak_norm(),
-                lorentzian * perpendicular_dipole(scheme).peak_norm())
-
-    a_z = _coherence_sum(pump_raising(scheme), rho_ss)
-    alpha_z = -kappa * a_z / omega_p
-
-    if omega_pr > 0:
-        rho_x = rho_ss
-    else:
-        omega_pr = 1e-3 * omega_p
-        probe_fields = FieldConfig(omega_p=omega_p, omega_pr=omega_pr,
-                                   delta_p=fields.delta_p,
-                                   delta_pr=fields.delta_p)
-        rho_x = degenerate_probe_steady_state(scheme, probe_fields)
-    a_x = _coherence_sum(probe_raising(scheme), rho_x)
-    alpha_x = -kappa * a_x / omega_pr
-    return float(alpha_z), float(alpha_x)
-
-
 def spontaneous_sources(rho_ss: np.ndarray, scheme: LevelScheme
                         ) -> Tuple[float, float]:
     """(Gamma_z, Gamma_x) spontaneous source factors in units of Gamma.
@@ -224,20 +188,42 @@ _OMEGA_FLOOR = 1e-3
 
 def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
                            cell: CellConfig) -> TransportCoefficients:
-    """Evaluate absorption and source terms at the given field strengths."""
-    if fields.omega_p > _OMEGA_FLOOR:
-        omega_p = fields.omega_p
-        rho_ss, _ = pump_only_steady_state(scheme, omega_p, fields.delta_p)
-        g_z, g_x = spontaneous_sources(rho_ss, scheme)
-    else:
-        omega_p = 0.0
-        rho_ss = np.zeros((scheme.dim, scheme.dim), dtype=complex)
-        g_z, g_x = 0.0, 0.0
-    alpha_z, alpha_x = absorption_coefficients(
-        rho_ss, scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
-                                    delta_p=fields.delta_p,
-                                    delta_pr=fields.delta_p),
-        cell)
+    """Absorption and source terms of the medium pumped at ``fields``.
+
+    alpha = -(n omega / 2 c eps0 E0) * sum_excited i [mu, rho]_ii for the
+    respective polarization, positive meaning attenuation.  alpha_z and the
+    sources come from the pump-only steady state rho_ss of L.  alpha_x is
+    the exact linear response (omega_pr -> 0) of that state to the x probe
+    at the pump frequency: with V = ``probe_raising(scheme)`` the source
+    x = -(i/2) [V + V^+, rho_ss] lies only in L's q = +-1 blocks, where L is
+    nonsingular whenever rho_ss is unique, so the first-order state is
+    rho_1 = -L_b^-1 x_b, one solve per block.
+
+    Below ``_OMEGA_FLOOR`` the medium is unpumped: no sources, and
+    alpha = kappa * peak_norm / (1 + 4 Delta_p^2) exactly, since every
+    excited sublevel sits at Delta_p and each optical coherence of the equal
+    ground mixture decays alone at Gamma/2, so the response is one
+    Lorentzian of peak ``DipoleOperator.peak_norm`` (the spectra's unit).
+    """
+    kappa = cell.absorption_scale
+    if fields.omega_p <= _OMEGA_FLOOR:
+        lorentzian = kappa / (1.0 + 4.0 * fields.delta_p ** 2)
+        return TransportCoefficients(
+            alpha_z=lorentzian * parallel_dipole(scheme).peak_norm(),
+            alpha_x=lorentzian * perpendicular_dipole(scheme).peak_norm(),
+            gamma_z=0.0, gamma_x=0.0, source_z=0.0, source_x=0.0)
+    rho_ss, L = pump_only_steady_state(scheme, fields.omega_p, fields.delta_p)
+    V = probe_raising(scheme)
+    mu_x = V + V.conj().T
+    x = vectorize(-0.5j * (mu_x @ rho_ss - rho_ss @ mu_x))
+    rho_1 = np.zeros_like(x)
+    for b in _blocks(L.matrix):
+        if np.any(x[b]):
+            rho_1[b] = -np.linalg.solve(L.matrix[np.ix_(b, b)], x[b])
+    alpha_z = -kappa * _coherence_sum(pump_raising(scheme), rho_ss) \
+        / fields.omega_p
+    alpha_x = -kappa * _coherence_sum(V, unvectorize(rho_1, scheme.dim))
+    g_z, g_x = spontaneous_sources(rho_ss, scheme)
     prefac = (cell.solid_angle / (4.0 * np.pi)) * cell.density \
         * cell.photon_energy
     return TransportCoefficients(

@@ -316,9 +316,12 @@ def degenerate_probe_steady_state(scheme: LevelScheme, fields) -> np.ndarray:
     Valid when delta = omega_p - omega_pr = 0, where the single rotating
     frame at the common field frequency is consistent and the Hamiltonian is
     time independent: all excited sublevels at delta_p, pump plus probe
-    couplings static.  This is the state whose probe coherences (rho12,
-    rho34, rho56 in the 8-level numbering) determine the absorption
-    coefficient of light generated at the pump frequency.
+    couplings static.  Its probe coherences (rho12, rho34, rho56 in the
+    8-level numbering), divided by omega_pr, approach the absorption
+    coefficient of light generated at the pump frequency as omega_pr -> 0.
+    The program takes that limit exactly
+    (:func:`mirrorless.propagation.transport_coefficients`) and does not
+    call this function: it is the tests' finite-probe reference.
     """
     if abs(fields.delta) > 1e-12:
         raise ValueError("degenerate-probe steady state requires delta = 0")

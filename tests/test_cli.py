@@ -287,6 +287,10 @@ INVALID_VALUES = [
      "mode = closed_form\nself_consistent = true", "self_consistent"),
     (MINIMAL_SPECTRUM, "delta_points = 9",
      "delta_points = 9\n[numerics]\nn_harmonics = 0", "n_harmonics"),
+    # non-finite numbers are rejected when parsed, before any solver sees them
+    (MINIMAL_PROPAGATE, "omega_p = 0.4", "omega_p = inf", "omega_p"),
+    (MINIMAL_PROPAGATE, "delta_p = 0.75", "delta_p = nan", "delta_p"),
+    (MINIMAL_SPECTRUM, "delta_max = 4", "delta_max = inf", "delta_max"),
     # keys no longer accepted: an old scenario file exits 3 naming them
     (MINIMAL_SPECTRUM, "delta_points = 9",
      "delta_points = 9\n[numerics]\ndecay_rel_tol = 1e-2", "decay_rel_tol"),
@@ -306,6 +310,18 @@ def test_invalid_values_exit_config_error(tmp_path, capsys, base, old, new,
     assert main([path, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+def test_non_utf8_config_exits_config_error(tmp_path, capsys):
+    from mirrorless.cli import main
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(MINIMAL_POPULATIONS.replace("delta_p = 0",
+                                                 "delta_p = 0 # \u00b5")
+                     .encode("latin-1"))
+    assert main([str(path), "--output", str(tmp_path / "out.csv")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
 
 
 def test_console_script_installed():

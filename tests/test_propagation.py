@@ -5,11 +5,11 @@ import pytest
 from mirrorless import (FieldConfig, build_collapse, build_liouvillian,
                         build_scheme, correlation_spectrum, equal_ground_state,
                         parallel_dipole, perpendicular_dipole, propagation,
-                        pump_hamiltonian, pump_only_steady_state)
+                        pump_hamiltonian)
 from mirrorless.levels import probe_raising, pump_raising
 from mirrorless.propagation import (CellConfig, _closed_form,
-                                    absorption_coefficients, output_curve,
-                                    propagate, spontaneous_sources,
+                                    _coherence_sum, output_curve, propagate,
+                                    spontaneous_sources,
                                     transport_coefficients)
 from mirrorless.spectra import degenerate_probe_steady_state
 
@@ -98,9 +98,9 @@ def test_commutator_sum_reduces_to_four_terms(scheme8):
 
 def test_resonant_alpha_positive(scheme8, cell):
     f = FieldConfig(omega_p=3.0, omega_pr=0.0, delta_p=0.0, delta_pr=0.0)
-    rho, _ = pump_only_steady_state(scheme8, 3.0, 0.0)
-    alpha_z, alpha_x = absorption_coefficients(rho, scheme8, f, cell)
-    assert alpha_z > 0 and alpha_x > 0  # attenuation, no gain at resonance
+    co = transport_coefficients(scheme8, f, cell)
+    # attenuation, no gain at resonance
+    assert co.alpha_z > 0 and co.alpha_x > 0
 
 
 def test_undriven_alpha_matches_two_level_oracle(scheme8, cell):
@@ -110,8 +110,8 @@ def test_undriven_alpha_matches_two_level_oracle(scheme8, cell):
     for delta in (0.0, 1.0, 3.0):
         f = FieldConfig(omega_p=0.0, omega_pr=0.0, delta_p=delta,
                         delta_pr=delta)
-        alpha_z, alpha_x = absorption_coefficients(
-            np.zeros((8, 8), dtype=complex), scheme8, f, cell)
+        co = transport_coefficients(scheme8, f, cell)
+        alpha_z, alpha_x = co.alpha_z, co.alpha_x
         n_g = 3
         lor = two_level_absorption(delta)
         expect_z = cell.absorption_scale * 2.0 / n_g * lor \
@@ -137,8 +137,8 @@ def test_undriven_alpha_matches_regression_spectrum(line, cell):
     for delta in (0.0, 0.75, 3.0):
         f = FieldConfig(omega_p=0.0, omega_pr=0.0, delta_p=delta,
                         delta_pr=delta)
-        alphas = absorption_coefficients(
-            np.zeros((scheme.dim, scheme.dim), dtype=complex), scheme, f, cell)
+        co = transport_coefficients(scheme, f, cell)
+        alphas = (co.alpha_z, co.alpha_x)
         L = build_liouvillian(pump_hamiltonian(scheme, 0.0, delta),
                               build_collapse(scheme))
         for alpha, d_op in zip(alphas, (parallel_dipole(scheme),
@@ -147,6 +147,49 @@ def test_undriven_alpha_matches_regression_spectrum(line, cell):
                                      normalized=False).absorption[0]
             assert alpha == pytest.approx(cell.absorption_scale * g,
                                           rel=1e-12)
+
+
+def _finite_probe_alpha_x(scheme, omega_p, delta_p, omega_pr, cell):
+    """alpha_x from the static steady state with a degenerate x probe of
+    Rabi frequency omega_pr, divided by omega_pr."""
+    f = FieldConfig(omega_p=omega_p, omega_pr=omega_pr, delta_p=delta_p,
+                    delta_pr=delta_p)
+    rho = degenerate_probe_steady_state(scheme, f)
+    return -cell.absorption_scale \
+        * _coherence_sum(probe_raising(scheme), rho) / omega_pr
+
+
+@pytest.mark.parametrize("line", [(1, 2), (2, 3)],
+                         ids=lambda l: f"{l[0]:g}->{l[1]:g}")
+def test_alpha_x_linear_response_matches_finite_probe(line, cell):
+    # the exact omega_pr -> 0 response on the pump-only L against the
+    # steady state with a finite degenerate probe: they differ by
+    # O(omega_pr^2), so halving omega_pr cuts the gap 4-fold (at
+    # omega_p = 0.1 the gap is at roundoff and only its size is checked)
+    scheme = build_scheme(*line)
+    for omega_p in (0.1, 0.4, 3.0):
+        for delta_p in (0.0, 0.75):
+            alpha_x = transport_coefficients(
+                scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
+                                    delta_p=delta_p, delta_pr=delta_p),
+                cell).alpha_x
+            gaps = [abs(_finite_probe_alpha_x(scheme, omega_p, delta_p,
+                                              w * omega_p, cell) - alpha_x)
+                    / abs(alpha_x) for w in (1e-3, 5e-4)]
+            assert gaps[0] <= 1e-5
+            if omega_p > 0.1:
+                assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.5)
+
+
+def test_alpha_x_well_conditioned_near_floor(scheme8, cell):
+    # just above _OMEGA_FLOOR the ground Zeeman coherences relax only at
+    # the pumping rate, yet a 1e-13 relative change of omega_p may move
+    # alpha_x by no more than 1e-8 relative
+    alphas = [transport_coefficients(
+        scheme8, FieldConfig(omega_p=omega_p, omega_pr=0.0, delta_p=0.75,
+                             delta_pr=0.75), cell).alpha_x
+        for omega_p in (1.3e-3, 1.3e-3 * (1.0 + 1e-13))]
+    assert abs(alphas[1] - alphas[0]) <= 1e-8 * abs(alphas[0])
 
 
 def test_closed_form_alpha_zero_limit():
