@@ -5,7 +5,8 @@ analysis workflows, and writes a machine-readable table (CSV by default, or
 line-delimited JSON).  Atomic workflows run in scaled units (Gamma = 1); the
 propagation workflows additionally require the [cell] section in SI units.
 
-Exit codes: 0 success, 2 numerical failure, 3 configuration error.
+Exit codes: 0 success, 2 numerical failure, 3 configuration or usage
+error.
 """
 
 from __future__ import annotations
@@ -554,7 +555,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="ignored; accepted so that older command "
                              "lines still run (grids run serially)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; it exits 0 after --help and 2,
+        # this program's numerical-failure code, on a usage error
+        if exc.code == 0:
+            raise
+        return EXIT_CONFIG
 
     try:
         cfg = parse_config(args.config)

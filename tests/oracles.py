@@ -21,6 +21,9 @@ library code it checks:
   every harmonic at once, bordered by the trace condition, by dense
   least squares (the library eliminates the harmonics by a matrix continued
   fraction and uses rho_{-m} = rho_m^H).
+* ``weak_probe_full_oracle`` is that continued fraction on the whole d^2
+  index set, every solve of full size (the library solves each harmonic in
+  its parity sector, about d^2/2).
 """
 
 from fractions import Fraction
@@ -242,6 +245,40 @@ def weak_probe_oracle(L0, v_plus, deltas, n_harmonics):
         rhs[-1] = 1.0
         sol = np.linalg.lstsq(big, rhs, rcond=None)[0]
         rho1 = sol[(k0 + 1) * n:(k0 + 2) * n].reshape(d, d)
+        out.append(-np.imag(np.trace(v_plus.conj().T @ rho1)))
+    return np.array(out)
+
+
+def weak_probe_full_oracle(L0, v_plus, deltas, n_harmonics):
+    """-Im Tr[V+^H rho_1] per offset, as ``weak_probe_oracle``, from the
+    matrix continued fraction on the whole d^2 space.
+
+    R_m = (i m delta - L0 - L- R_{m+1})^-1 L+ from R_{n+1} = 0 down to m = 1,
+    rho_1 = R_1 rho_0 and rho_{-1} = rho_1^H; the rho_0 system has its first
+    row (the (0, 0) population) replaced by the trace row.
+    """
+    d = v_plus.shape[0]
+    n = d * d
+    eye = np.eye(d)
+
+    def commutator(V):
+        return -0.5j * (np.kron(V, eye) - np.kron(eye, V.T))
+
+    l_plus, l_minus = commutator(v_plus), commutator(v_plus.conj().T)
+    perm = np.arange(n).reshape(d, d).T.ravel()  # vec X -> vec X^T
+    unit = np.eye(n)[0]
+    out = []
+    for delta in deltas:
+        if abs(delta) < 1e-6:
+            delta = 1e-6 if delta >= 0 else -1e-6
+        back = np.zeros((n, n), dtype=complex)  # L- R_{m+1}
+        for m in range(n_harmonics, 0, -1):
+            R = np.linalg.solve(1j * m * delta * np.eye(n) - L0 - back,
+                                l_plus)
+            back = l_minus @ R
+        central = -L0 - back - back.conj()[np.ix_(perm, perm)]
+        central[0] = eye.reshape(-1)
+        rho1 = (R @ np.linalg.solve(central, unit)).reshape(d, d)
         out.append(-np.imag(np.trace(v_plus.conj().T @ rho1)))
     return np.array(out)
 

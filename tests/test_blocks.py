@@ -1,5 +1,5 @@
-"""Coherence-order blocks: structure, and blocked routes against the
-full-matrix oracles."""
+"""Coherence-order blocks and the weak probe's parity sectors: structure,
+and the blocked and sector routes against the full-matrix oracles."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,21 @@ from mirrorless import (build_collapse, build_liouvillian, build_scheme,
 from mirrorless.dynamics import _blocks
 from mirrorless.levels import (probe_raising, pump_hamiltonian,
                                two_level_collapse, two_level_hamiltonian)
-from mirrorless.spectra import (correlation_spectrum, parallel_dipole,
-                                perpendicular_dipole, two_level_dipole)
+from mirrorless.spectra import (_commutator_superoperator, _parity_sectors,
+                                _weak_probe, correlation_spectrum,
+                                parallel_dipole, perpendicular_dipole,
+                                two_level_dipole)
 
 from conftest import random_density_matrix
-from oracles import regression_oracle, steady_state_oracle
+from oracles import (regression_oracle, steady_state_oracle,
+                     weak_probe_full_oracle, weak_probe_oracle)
 
 # every dipole line F_g -> F_e with at most 12 sublevels
 LINES = [(fg / 2, fe / 2) for fg in range(11) for fe in (fg - 2, fg, fg + 2)
          if fe >= 0 and fg + fe >= 2 and fg + fe + 2 <= 12]
+
+# the F -> F - 1 lines are dark: the pumped null space is not unique
+BRIGHT = [line for line in LINES if line[1] >= line[0]]
 
 
 def _coherence_order(scheme):
@@ -102,3 +108,57 @@ def test_regression_matches_full_schur(case):
     grid = np.linspace(-9.0, 9.0, 181)
     g = correlation_spectrum(L, rho, d_op, grid, normalized=False).absorption
     assert _close(g, regression_oracle(L.matrix, rho, d_op.d_plus, grid))
+
+
+def _probe_parts(scheme):
+    V = perpendicular_dipole(scheme).d_plus
+    return _commutator_superoperator(V), _commutator_superoperator(V.conj().T)
+
+
+@pytest.mark.parametrize("line", BRIGHT)
+def test_parity_sectors_split(line):
+    # the x probe moves q by +-1: harmonic rho_m has q = m (mod 2)
+    scheme = build_scheme(*line)
+    L0 = _liouvillian(scheme, 3.0, 1.5).matrix
+    L_plus, L_minus = _probe_parts(scheme)
+    even, odd = _parity_sectors(L0, L_plus, L_minus)
+    assert np.array_equal(np.sort(np.concatenate([even, odd])),
+                          np.arange(scheme.dim ** 2))
+    assert not np.any(L0[np.ix_(even, odd)]) \
+        and not np.any(L0[np.ix_(odd, even)])
+    for hop in (L_plus, L_minus):
+        assert not np.any(hop[np.ix_(even, even)]) \
+            and not np.any(hop[np.ix_(odd, odd)])
+    assert not np.any(np.eye(scheme.dim).ravel()[odd])  # the trace row
+    q = _coherence_order(scheme)
+    assert np.all(q[even] % 2 == 0) and np.all(q[odd] % 2 == 1)
+
+
+@pytest.mark.parametrize("probe_ratio", [1e-3, 0.1], ids=["weak", "strong"])
+@pytest.mark.parametrize("n_harmonics", [1, 2, 3])
+@pytest.mark.parametrize("line", BRIGHT)
+def test_weak_probe_sectors_match_full_oracle(line, n_harmonics, probe_ratio):
+    scheme = build_scheme(*line)
+    omega_pr = probe_ratio * 3.0
+    L = _liouvillian(scheme, 3.0, 1.5)
+    grid = np.linspace(-4.0, 4.0, 5)  # contains delta = 0
+    got = _weak_probe(scheme, L, omega_pr, grid, n_harmonics,
+                      normalized=False).absorption
+    ref = weak_probe_full_oracle(
+        L.matrix, omega_pr * perpendicular_dipole(scheme).d_plus, grid,
+        n_harmonics) * 2.0 / omega_pr ** 2
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_weak_probe_unsplit_pattern(scheme8):
+    # a static x-probe term in L0 mixes every q, so there is one sector:
+    # the whole space, solved by the same code
+    L = _liouvillian(scheme8, 3.0, 1.5, 0.3)
+    even, odd = _parity_sectors(L.matrix, *_probe_parts(scheme8))
+    assert np.array_equal(even, np.arange(64)) and np.array_equal(odd, even)
+    omega_pr, grid = 0.3, np.linspace(-4.0, 4.0, 5)
+    got = _weak_probe(scheme8, L, omega_pr, grid, 2,
+                      normalized=False).absorption
+    ref = weak_probe_oracle(L.matrix, omega_pr * perpendicular_dipole(
+        scheme8).d_plus, grid, 2) * 2.0 / omega_pr ** 2
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))

@@ -138,6 +138,15 @@ s_points = 1
     assert main([numfail, "--output", str(out)]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("argv, message", [(["x.ini", "--bogus"],
+                                             "unrecognized arguments"),
+                                            ([], "required")])
+def test_usage_errors_exit_config_error(argv, message, capsys):
+    from mirrorless.cli import main
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_csv_output_shape(tmp_path):
     from mirrorless.cli import main
     path = write_config(tmp_path, MINIMAL_POPULATIONS)

@@ -1,5 +1,10 @@
 """Transport coefficients, closed-form/numeric propagation, output curve."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from mirrorless import (FieldConfig, build_collapse, build_liouvillian,
@@ -209,6 +214,26 @@ def test_closed_form_vs_numeric(scheme8, cell):
     scale_x = np.max(pc.I_x)
     assert np.max(np.abs(pc.I_z - pn.I_z)) / scale_z < 1e-8
     assert np.max(np.abs(pc.I_x - pn.I_x)) / scale_x < 1e-8
+
+
+def test_numeric_propagation_imports_no_integrator():
+    # in a fresh process, since the suite may have imported scipy.integrate
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(propagation.__file__).resolve().parents[1]))
+    code = ("import sys\n"
+            "from mirrorless import FieldConfig, build_scheme\n"
+            "from mirrorless.propagation import CellConfig, propagate\n"
+            "cell = CellConfig.pencil(length=0.1, density=1.16e16, "
+            "gamma_phys=3.5e7, wavelength=780e-9, beam_radius=1e-3)\n"
+            "f = FieldConfig(omega_p=0.4, omega_pr=0.0, delta_p=0.75, "
+            "delta_pr=0.75)\n"
+            "propagate(cell, build_scheme(1, 2), f, "
+            "I_z0=cell.intensity_from_omega_p(0.4), mode='numeric')\n"
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.split() == ["False"]
 
 
 def test_profile_physical_bounds(scheme8, cell):
