@@ -35,10 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import mirrorless  # noqa: E402,F401  (before numpy: pins BLAS to one thread)
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-
-import mirrorless  # noqa: E402,F401  (pins BLAS to one thread first)
 from mirrorless import (build_collapse, build_liouvillian,  # noqa: E402
                         build_scheme, steady_state)
 from mirrorless.dynamics import _blocks, _components  # noqa: E402
@@ -78,6 +77,14 @@ def _cpu():
 
 def _sig(x):
     return float(f"{x:.3g}")
+
+
+def _conditions():
+    """The machine block of a BENCH file."""
+    return {"cpu": _cpu(), "cpus": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def _line(line):
@@ -125,11 +132,7 @@ def main(argv=None):
         "script": "bench/layers.py",
         "operating_point": {"omega_p": OMEGA_P, "delta_p": DELTA_P},
         "timing": f"median of {REPEATS} runs after one warm-up, s",
-        "conditions": {
-            "cpu": _cpu(), "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
+        "conditions": _conditions(),
         "lines": {name: _line(line) for name, line in LINES.items()},
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n",

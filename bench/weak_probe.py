@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 from pathlib import Path
 
@@ -34,14 +32,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import mirrorless  # noqa: E402,F401  (before numpy: pins BLAS to one thread)
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 from mirrorless import (build_collapse, build_liouvillian,  # noqa: E402
                         build_scheme)
 from mirrorless.levels import pump_hamiltonian  # noqa: E402
 from mirrorless.spectra import (_commutator_superoperator,  # noqa: E402
                                 _parity_sectors, _weak_probe,
                                 perpendicular_dipole)
-from layers import REPEATS, _cpu, _median_time, _sig  # noqa: E402
+from layers import REPEATS, _conditions, _median_time, _sig  # noqa: E402
 from oracles import weak_probe_full_oracle  # noqa: E402
 
 OMEGA_P, DELTA_P = 3.0, 1.5
@@ -90,11 +87,7 @@ def main(argv=None):
         "offsets": len(GRID),
         "timing": f"median of {REPEATS} runs after one warm-up, "
                   f"s per offset",
-        "conditions": {
-            "cpu": _cpu(), "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
+        "conditions": _conditions(),
         "lines": {name: _line(line) for name, line in LINES.items()},
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n",

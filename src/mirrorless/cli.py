@@ -114,41 +114,38 @@ class ScenarioConfig:
 
 @dataclass
 class ResultTable:
-    """Rectangular result with per-column units and a provenance block."""
+    """Result as one float array: ``rows[i, k]`` is row i of column k, whose
+    (name, unit) is ``columns[k]``, plus a provenance block. A column of unit
+    ``bool`` holds 0.0 or 1.0 and prints as 0 or 1."""
 
     columns: List[Tuple[str, str]]
-    rows: List[Tuple]
+    rows: np.ndarray
     provenance: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValueError("ragged result table")
+        self.rows = np.asarray(self.rows, dtype=float)
+        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
+            raise ValueError(f"result table of shape {self.rows.shape} for "
+                             f"{len(self.columns)} columns")
 
     def write_csv(self, fh) -> None:
-        for key, val in self.provenance.items():
-            fh.write(f"# {key}: {val}\n")
-        fh.write(",".join(name for name, _ in self.columns) + "\n")
-        fh.write(",".join(f"[{unit}]" for _, unit in self.columns) + "\n")
-        for row in self.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        cells = self.rows.astype(object)  # Python floats: repr is the text
+        flags = [k for k, (_, unit) in enumerate(self.columns)
+                 if unit == "bool"]
+        cells[:, flags] = self.rows[:, flags].astype(int)
+        lines = [f"# {key}: {val}" for key, val in self.provenance.items()]
+        lines.append(",".join(name for name, _ in self.columns))
+        lines.append(",".join(f"[{unit}]" for _, unit in self.columns))
+        lines += [",".join(map(repr, row)) for row in cells.tolist()]
+        fh.write("\n".join(lines) + "\n")
 
     def write_json(self, fh) -> None:
-        fh.write(json.dumps({"provenance": self.provenance,
-                             "units": {n: u for n, u in self.columns}},
-                            sort_keys=True) + "\n")
         names = [n for n, _ in self.columns]
-        for row in self.rows:
-            fh.write(json.dumps(dict(zip(names, (float(v) for v in row))),
-                                sort_keys=True) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+        lines = [json.dumps({"provenance": self.provenance,
+                             "units": dict(self.columns)}, sort_keys=True)]
+        lines += [json.dumps(dict(zip(names, row)), sort_keys=True)
+                  for row in self.rows.tolist()]
+        fh.write("\n".join(lines) + "\n")
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -416,6 +413,11 @@ def _run_populations(cfg: ScenarioConfig) -> ResultTable:
     L = build_liouvillian(H, build_collapse(scheme))
     t_grid = np.linspace(0.0, cfg.t_final, cfg.t_points)
     ev = evolve(L, equal_ground_state(scheme), cfg.t_final, t_eval=t_grid)
+    return _populations_table(scheme, ev)
+
+
+def _populations_table(scheme: LevelScheme, ev) -> ResultTable:
+    """Time, every population, then (re, im) of every sigma coherence."""
     cols: List[Tuple[str, str]] = [("t", "1/Gamma")]
     cols += [(f"pop_{_sublevel_label(scheme, i)}", "1")
              for i in range(scheme.dim)]
@@ -425,13 +427,14 @@ def _run_populations(cfg: ScenarioConfig) -> ResultTable:
     for e, g in sigma_pairs:
         lbl = f"{_sublevel_label(scheme, e)}_{_sublevel_label(scheme, g)}"
         cols += [(f"re_rho_{lbl}", "1"), (f"im_rho_{lbl}", "1")]
-    rows = []
-    for t, rho in zip(ev.times, ev.states):
-        row = [t] + [float(np.real(rho[i, i])) for i in range(scheme.dim)]
-        for e, g in sigma_pairs:
-            row += [float(np.real(rho[e, g])), float(np.imag(rho[e, g]))]
-        rows.append(tuple(row))
-    return ResultTable(columns=cols, rows=rows)
+    diag = np.arange(scheme.dim)
+    sigma = ev.states[:, [e for e, _ in sigma_pairs],
+                      [g for _, g in sigma_pairs]]
+    # (re, im) of each pair side by side, in the order of the columns
+    reim = np.stack([sigma.real, sigma.imag], axis=-1)
+    return ResultTable(columns=cols, rows=np.column_stack(
+        [ev.times, ev.states[:, diag, diag].real,
+         reim.reshape(len(ev.times), -1)]))
 
 
 def _run_inversion_scan(cfg: ScenarioConfig) -> ResultTable:
@@ -444,11 +447,10 @@ def _run_inversion_scan(cfg: ScenarioConfig) -> ResultTable:
     e0 = scheme.index("excited", 0.0)
     g_side = [scheme.index("ground", m) for m in (-1.0, 1.0)
               if ("ground", m) in scheme.index_map]
-    rows = []
-    for p in scan.points:
-        inverted = p.populations[e0] > max(p.populations[i] for i in g_side)
-        rows.append(tuple([p.S, p.omega_p] + [float(x) for x in p.populations]
-                          + [bool(inverted)]))
+    pops = np.array([p.populations for p in scan.points])
+    inverted = pops[:, e0] > pops[:, g_side].max(axis=1)
+    rows = np.column_stack([_columns(scan.points, "S", "omega_p"), pops,
+                            inverted])
     prov = {}
     if scan.s_star is not None:
         prov["s_star"] = repr(float(scan.s_star))
@@ -463,32 +465,31 @@ def _run_spectrum(cfg: ScenarioConfig) -> ResultTable:
         rho = steady_state(L)
         spec = correlation_spectrum(L, rho, two_level_dipole(), delta_grid)
         return ResultTable(columns=[("delta", "Gamma"), ("absorption", "arb")],
-                           rows=[(d, a) for d, a in zip(spec.delta,
-                                                        spec.absorption)])
+                           rows=np.column_stack([spec.delta, spec.absorption]))
     scheme = cfg.scheme()
     if cfg.probe_polarization == "parallel":
         rho, L = pump_only_steady_state(scheme, cfg.omega_p, cfg.delta_p)
         spec = correlation_spectrum(L, rho, parallel_dipole(scheme),
                                     delta_grid)
         return ResultTable(columns=[("delta", "Gamma"), ("absorption", "arb")],
-                           rows=[(d, a) for d, a in zip(spec.delta,
-                                                        spec.absorption)])
+                           rows=np.column_stack([spec.delta, spec.absorption]))
     pg = perpendicular_gain_spectrum(scheme, cfg.fields(), delta_grid,
                                      n_harmonics=cfg.n_harmonics)
     return ResultTable(
         columns=[("delta", "Gamma"), ("absorption", "arb"),
                  ("absorption_weak_probe", "arb")],
-        rows=[(d, a, b) for d, a, b in zip(pg.delta, pg.absorption,
-                                           pg.weak_probe_absorption)])
+        rows=np.column_stack([pg.delta, pg.absorption,
+                              pg.weak_probe_absorption]))
 
 
 def _run_min_absorption(cfg: ScenarioConfig) -> ResultTable:
     scan = min_absorption_scan(cfg.scheme(), cfg.delta_p, cfg.omega_p_grid,
                                delta_grid=cfg.delta_grid)
-    rows = [(p.omega_p, p.min_absorption, p.delta_at_min) for p in scan.points]
     return ResultTable(columns=[("omega_p", "Gamma"),
                                 ("min_absorption", "arb"),
-                                ("delta_at_min", "Gamma")], rows=rows)
+                                ("delta_at_min", "Gamma")],
+                       rows=_columns(scan.points, "omega_p", "min_absorption",
+                                     "delta_at_min"))
 
 
 def _run_propagate(cfg: ScenarioConfig) -> ResultTable:
@@ -508,17 +509,22 @@ def _run_propagate(cfg: ScenarioConfig) -> ResultTable:
     cols = [("y", "m"), ("I_z", "W/m^2"), ("I_x", "W/m^2"),
             ("alpha_z", "1/m"), ("alpha_x", "1/m"),
             ("Gamma_z", "1/s"), ("Gamma_x", "1/s")]
-    rows = [tuple(v) for v in zip(prof.y, prof.I_z, prof.I_x, prof.alpha_z,
-                                  prof.alpha_x, prof.Gamma_z, prof.Gamma_x)]
+    rows = np.column_stack([prof.y, prof.I_z, prof.I_x, prof.alpha_z,
+                            prof.alpha_x, prof.Gamma_z, prof.Gamma_x])
     prov = {"clamped": str(prof.clamped).lower()}
     return ResultTable(columns=cols, rows=rows, provenance=prov)
 
 
 def _run_output_curve(cfg: ScenarioConfig) -> ResultTable:
-    rows = [(p.I_z_in, p.omega_p, p.I_x_out) for p in
-            output_curve(cfg.cell, cfg.scheme(), cfg.pump_grid, cfg.delta_p)]
+    points = output_curve(cfg.cell, cfg.scheme(), cfg.pump_grid, cfg.delta_p)
     return ResultTable(columns=[("I_z_in", "W/m^2"), ("omega_p", "Gamma"),
-                                ("I_x_out", "W/m^2")], rows=rows)
+                                ("I_x_out", "W/m^2")],
+                       rows=_columns(points, "I_z_in", "omega_p", "I_x_out"))
+
+
+def _columns(points, *attrs) -> np.ndarray:
+    """One column per attribute of a list of result points."""
+    return np.column_stack([[getattr(p, a) for p in points] for a in attrs])
 
 
 def run(cfg: ScenarioConfig) -> ResultTable:

@@ -16,7 +16,7 @@ mixes q merges them.  Each block is factorized on its own and the results
 are scattered back into the full vector.  Steady states come from one
 singular value decomposition per block (the null singular vectors).  Time
 evolution uses exact propagators e^{L dt} (scaling and squaring) of the
-whole L, one per distinct sampling interval.
+whole L: one for a uniform sampling grid, one per interval on any other.
 """
 
 from __future__ import annotations

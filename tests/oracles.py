@@ -24,8 +24,13 @@ library code it checks:
 * ``weak_probe_full_oracle`` is that continued fraction on the whole d^2
   index set, every solve of full size (the library solves each harmonic in
   its parity sector, about d^2/2).
+* ``table_csv_oracle`` and ``table_json_oracle`` write a result table one
+  value at a time from per-row sequences of scalars, dispatching on each
+  value's type (the library formats one float array in one pass and takes
+  the bool columns from their unit).
 """
 
+import json
 from fractions import Fraction
 from math import factorial, sqrt
 
@@ -317,3 +322,33 @@ def regression_oracle(L, rho_ss, d_plus, deltas):
     T, u, z = T[:k, :k], w @ Z[:, :k], z[:k]
     return np.array([-np.real(u @ solve_triangular(
         T - 1j * delta * np.eye(k), z)) for delta in deltas])
+
+
+def _fmt_oracle(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def table_csv_oracle(columns, rows, provenance) -> str:
+    """CSV text of a table: provenance lines, names, units, then each row
+    with every value formatted by its own type."""
+    out = [f"# {key}: {val}\n" for key, val in provenance.items()]
+    out.append(",".join(name for name, _ in columns) + "\n")
+    out.append(",".join(f"[{unit}]" for _, unit in columns) + "\n")
+    out += [",".join(_fmt_oracle(v) for v in row) + "\n" for row in rows]
+    return "".join(out)
+
+
+def table_json_oracle(columns, rows, provenance) -> str:
+    """Line-delimited JSON text of a table: the provenance and units object,
+    then one object per row of float(value) per column name."""
+    names = [n for n, _ in columns]
+    out = [json.dumps({"provenance": provenance,
+                       "units": {n: u for n, u in columns}},
+                      sort_keys=True) + "\n"]
+    out += [json.dumps(dict(zip(names, (float(v) for v in row))),
+                       sort_keys=True) + "\n" for row in rows]
+    return "".join(out)

@@ -73,3 +73,31 @@ def test_import_pins_blas_threads(user_value, expected):
          "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.split() == [expected, "1"]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _imported_modules(path):
+    """Top-level names of the modules a script imports, in source order."""
+    nodes = sorted((n for n in ast.walk(ast.parse(path.read_text("utf-8")))
+                    if isinstance(n, (ast.Import, ast.ImportFrom))),
+                   key=lambda n: (n.lineno, n.col_offset))
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names += [a.name.partition(".")[0] for a in node.names]
+        elif node.level == 0:
+            names.append(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("script", sorted(BENCH.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_bench_scripts_import_mirrorless_before_numpy(script):
+    # `import mirrorless` pins BLAS to one thread only if numpy is not loaded
+    # yet; a script that imports numpy first times a multithreaded BLAS
+    names = _imported_modules(script)
+    assert "mirrorless" in names
+    early = names[:names.index("mirrorless")]
+    assert not {"numpy", "scipy"} & set(early), early

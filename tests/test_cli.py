@@ -1,15 +1,18 @@
 """Config parsing, workflow dispatch, output format, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirrorless.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError,
-                            ScenarioConfig, parse_config, run)
+                            ResultTable, ScenarioConfig, parse_config, run)
+from oracles import table_csv_oracle, table_json_oracle
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -412,3 +415,87 @@ def test_mollow_detuned_preset_one_sided_gain(tmp_path):
     lo = absorption[np.abs(delta + gen) < 1.5].min()
     hi = absorption[np.abs(delta - gen) < 1.5].min()
     assert min(lo, hi) < 0 <= max(lo, hi)
+
+
+def _per_value_rows(table):
+    # the rows as per-row tuples: a Python bool in a bool column, numpy
+    # float64 scalars elsewhere
+    flags = [unit == "bool" for _, unit in table.columns]
+    return [tuple(bool(v) if flag else v for v, flag in zip(row, flags))
+            for row in table.rows]
+
+
+def _written(table, writer):
+    fh = io.StringIO()
+    getattr(table, writer)(fh)
+    return fh.getvalue()
+
+
+def _synthetic_table():
+    values = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
+    return ResultTable(columns=[("x", "1"), ("flag", "bool"), ("y", "arb")],
+                       rows=np.column_stack([values, [1, 0, 1, 0, 1],
+                                             values[::-1]]),
+                       provenance={"note": "edge values"})
+
+
+@pytest.mark.parametrize("source", ["populations_s36", "inversion_scan",
+                                    "propagate_operating_point",
+                                    "mollow_parallel_resonant", "synthetic"])
+def test_one_pass_writers_match_per_value_oracle(source):
+    if source == "synthetic":
+        table = _synthetic_table()
+    else:
+        table = run(parse_config(str(PRESETS / f"{source}.ini")))
+    assert table.rows.dtype == np.float64 and table.rows.ndim == 2
+    args = (table.columns, _per_value_rows(table), table.provenance)
+    # the first differing line, not a diff of the whole text, on failure
+    for writer, oracle in (("write_csv", table_csv_oracle),
+                           ("write_json", table_json_oracle)):
+        lines = zip_longest(_written(table, writer).split("\n"),
+                            oracle(*args).split("\n"))
+        assert next(((k, a, b) for k, (a, b) in enumerate(lines) if a != b),
+                    None) is None, writer
+
+
+def test_synthetic_table_text():
+    lines = _written(_synthetic_table(), "write_csv").splitlines()
+    assert lines[3:] == ["-0.0,1,0.30000000000000004", "5e-324,0,1e-05",
+                         "1e+16,1,1e+16", "1e-05,0,5e-324",
+                         "0.30000000000000004,1,-0.0"]
+
+
+def test_ragged_table_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        ResultTable(columns=[("a", "1"), ("b", "1")], rows=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        ResultTable(columns=[("a", "1")], rows=np.zeros(3))
+
+
+@pytest.mark.parametrize("line", [(1, 2), (1.5, 2.5)])
+def test_populations_columns_hold_the_entries_they_name(line, rng):
+    from mirrorless import build_scheme
+    from mirrorless.cli import _populations_table, _sublevel_label
+    from mirrorless.dynamics import Evolution
+    scheme = build_scheme(*line)
+    d = scheme.dim
+    states = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    table = _populations_table(scheme, Evolution(times=np.arange(3.0),
+                                                 states=states))
+    index = {_sublevel_label(scheme, i): i for i in range(d)}
+    assert table.columns[0] == ("t", "1/Gamma")
+    assert np.array_equal(table.rows[:, 0], np.arange(3.0))
+    n_sigma = 0
+    for k, (name, _) in enumerate(table.columns[1:], start=1):
+        part, *labels = name.split("_")
+        if part == "pop":
+            i = index[labels[0]]
+            expected = states[:, i, i].real
+        else:
+            e, g = index[labels[1]], index[labels[2]]
+            assert abs(scheme.m_of(e) - scheme.m_of(g)) == 1
+            n_sigma += 1
+            expected = getattr(states[:, e, g], {"re": "real",
+                                                  "im": "imag"}[part])
+        assert np.array_equal(table.rows[:, k], expected), name
+    assert len(table.columns) == 1 + d + n_sigma
