@@ -41,7 +41,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import mirrorless  # noqa: E402,F401  (before numpy: pins BLAS to one thread)
-import numpy as np  # noqa: E402
 from mirrorless import (build_collapse, build_liouvillian,  # noqa: E402
                         build_scheme, evolve)
 from mirrorless.cli import _populations_table  # noqa: E402
@@ -63,8 +62,7 @@ def _populations(line, delta_p):
     L = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
                           build_collapse(scheme))
     rho0 = equal_ground_state(scheme)
-    t_grid = np.linspace(0.0, T_FINAL, SAMPLES)
-    ev = evolve(L, rho0, T_FINAL, t_eval=t_grid)
+    ev = evolve(L, rho0, T_FINAL, n_samples=SAMPLES)
     table = _populations_table(scheme, ev)
     rows = [tuple(row) for row in table.rows.tolist()]
 
@@ -79,7 +77,7 @@ def _populations(line, delta_p):
     return {"dim": scheme.dim, "omega_p": _sig(omega_p), "delta_p": delta_p,
             "columns": len(table.columns),
             "evolve_s": _sig(_median_time(
-                lambda: evolve(L, rho0, T_FINAL, t_eval=t_grid))),
+                lambda: evolve(L, rho0, T_FINAL, n_samples=SAMPLES))),
             "assemble_s": _sig(_median_time(
                 lambda: _populations_table(scheme, ev))),
             "write_csv_s": _sig(_median_time(write_csv)),

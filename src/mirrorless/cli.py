@@ -17,17 +17,17 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as _fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (build_liouvillian, equal_ground_state, evolve,
-                       inversion_scan, omega_from_saturation,
+                       inversion_pair, inversion_scan, omega_from_saturation,
                        pump_only_steady_state, steady_state)
 from .levels import (FieldConfig, LevelScheme, build_collapse, build_scheme,
-                     pump_hamiltonian, two_level_collapse,
+                     probe_raising, pump_hamiltonian, two_level_collapse,
                      two_level_hamiltonian)
 from .propagation import CellConfig, output_curve, propagate
 from .spectra import (correlation_spectrum, min_absorption_scan,
@@ -68,6 +68,12 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
 }
 
 _CELL_WORKFLOWS = ("propagate", "output-curve")
+# INI keys whose ScenarioConfig field, or CellConfig argument, is named
+# otherwise; every other scenario key names its field
+_FIELD_OF_KEY = {"path": "output_path", "format": "output_format"}
+_CELL_ARG = {"length_m": "length", "density_m3": "density",
+             "gamma_rad_s": "gamma_phys", "grid_points": "grid",
+             "i_sat_ref_w_m2": "i_sat_ref"}
 
 
 class ConfigError(ValueError):
@@ -110,6 +116,9 @@ class ScenarioConfig:
 
     def scheme(self) -> LevelScheme:
         return build_scheme(self.f_ground, self.f_excited)
+
+
+_CONFIG_FIELDS = {f.name for f in _fields(ScenarioConfig)}
 
 
 @dataclass
@@ -172,7 +181,8 @@ def _coerce(section: str, key: str, raw: str):
                           f"{expected}") from exc
 
 
-def _grid(vals: Dict, prefix: str, scale: str = "linear") -> Optional[np.ndarray]:
+def _grid(vals: Dict, prefix: str, scale: Optional[str] = None
+          ) -> Optional[np.ndarray]:
     lo = vals.get(f"{prefix}_min")
     hi = vals.get(f"{prefix}_max")
     n = vals.get(f"{prefix}_points")
@@ -245,7 +255,7 @@ def parse_config(path: str) -> ScenarioConfig:
                           + ", ".join(WORKFLOWS))
 
     tr = vals["transition"]
-    two_level = tr.get("two_level", False)
+    two_level = tr.get("two_level")
     if not two_level:
         for key in ("f_ground", "f_excited"):
             if key not in tr and workflow is not None:
@@ -273,95 +283,78 @@ def parse_config(path: str) -> ScenarioConfig:
     _require_sign(scan, "scan", ("input_intensity", "seed_intensity", "s_min",
                                  "omega_p_min", "pump_min"), False)
 
-    delta_p = fl.get("delta_p", 0.0)
-    if "saturation" in fl:
-        omega_p = float(omega_from_saturation(fl["saturation"], delta_p))
-    else:
-        omega_p = fl.get("omega_p", 0.0)
-    delta_pr = fl.get("delta_pr")
-    if "offset" in fl:
-        delta_pr = delta_p + fl["offset"]
-
-    pol = fl.get("probe_polarization", "perpendicular")
-    if pol not in ("parallel", "perpendicular"):
-        raise ConfigError(f"[fields] probe_polarization must be parallel or "
-                          f"perpendicular, got {pol!r}")
-
-    cell = None
-    if vals["cell"]:
-        if workflow not in _CELL_WORKFLOWS:
-            raise ConfigError(
-                f"[cell] section is only valid for workflows "
-                f"{', '.join(_CELL_WORKFLOWS)} (SI units); '{workflow}' runs "
-                f"in scaled units")
-        cl = vals["cell"]
-        cell_missing = [k for k in ("length_m", "density_m3", "gamma_rad_s")
-                        if k not in cl]
-        if "wavelength_m" not in cl and "photon_energy_j" not in cl:
-            cell_missing.append("wavelength_m (or photon_energy_j)")
-        if "beam_radius_m" not in cl and "solid_angle_sr" not in cl:
-            cell_missing.append("beam_radius_m (or solid_angle_sr)")
-        if cell_missing:
-            raise ConfigError("missing required [cell] keys: "
-                              + ", ".join(cell_missing))
-        _require_sign(cl, "cell", [k for k in cl if k != "grid_points"], True)
-        if cl.get("grid_points", 200) < 2:
-            raise ConfigError("[cell] grid_points must be >= 2")
-        if "photon_energy_j" in cl:
-            photon_energy = cl["photon_energy_j"]
-        else:
-            from scipy.constants import c, hbar
-            photon_energy = hbar * 2 * np.pi * c / cl["wavelength_m"]
-        if "solid_angle_sr" in cl:
-            solid_angle = cl["solid_angle_sr"]
-        else:
-            solid_angle = np.pi * cl["beam_radius_m"] ** 2 / cl["length_m"] ** 2
-        try:
-            cell = CellConfig(length=cl["length_m"], density=cl["density_m3"],
-                              gamma_phys=cl["gamma_rad_s"],
-                              photon_energy=photon_energy,
-                              solid_angle=solid_angle,
-                              grid=cl.get("grid_points", 200),
-                              i_sat_ref=cl.get("i_sat_ref_w_m2"))
-        except ValueError as exc:
-            raise ConfigError(f"[cell] {exc}") from exc
-    elif workflow in _CELL_WORKFLOWS:
-        raise ConfigError(f"workflow '{workflow}' requires the [cell] section")
-
-    num = vals["numerics"]
-    if num.get("n_harmonics", 2) < 1:
-        raise ConfigError("[numerics] n_harmonics must be >= 1")
-    out = vals["output"]
-    fmt = out.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")
-
+    # a key the file omits keeps the default of its ScenarioConfig field
+    given = {_FIELD_OF_KEY.get(k, k): v for keys in vals.values()
+             for k, v in keys.items()}
     cfg = ScenarioConfig(
-        workflow=workflow,
-        f_ground=tr.get("f_ground", 1.0), f_excited=tr.get("f_excited", 2.0),
-        two_level=two_level,
-        omega_p=omega_p, omega_pr=fl.get("omega_pr", 0.0),
-        delta_p=delta_p, delta_pr=delta_pr,
-        probe_polarization=pol,
-        t_final=scan.get("t_final", 50.0), t_points=scan.get("t_points", 201),
-        s_grid=_grid(scan, "s", scan.get("s_scale", "linear")),
+        **{k: v for k, v in given.items() if k in _CONFIG_FIELDS},
+        s_grid=_grid(scan, "s", scan.get("s_scale")),
         delta_grid=_grid(scan, "delta"),
         omega_p_grid=_grid(scan, "omega_p"),
         pump_grid=_grid(scan, "pump"),
-        input_intensity=scan.get("input_intensity"),
-        seed_intensity=scan.get("seed_intensity", 0.0),
-        mode=scan.get("mode", "closed_form"),
-        self_consistent=scan.get("self_consistent", False),
-        cell=cell,
-        n_harmonics=num.get("n_harmonics", 2),
-        output_path=out.get("path"), output_format=fmt,
-        source_sha256=hashlib.sha256(raw).hexdigest(),
-    )
-    _validate_workflow_inputs(cfg)
+        cell=_cell(vals["cell"], workflow),
+        source_sha256=hashlib.sha256(raw).hexdigest())
+    if "saturation" in fl:
+        cfg.omega_p = float(omega_from_saturation(fl["saturation"],
+                                                  cfg.delta_p))
+    if "offset" in fl:
+        cfg.delta_pr = cfg.delta_p + fl["offset"]
+    _validate(cfg)
     return cfg
 
 
-def _validate_workflow_inputs(cfg: ScenarioConfig) -> None:
+def _cell(cl: Dict, workflow: str) -> Optional[CellConfig]:
+    """The [cell] section (SI units) as a CellConfig, None if absent."""
+    if not cl:
+        if workflow in _CELL_WORKFLOWS:
+            raise ConfigError(f"workflow '{workflow}' requires the [cell] "
+                              f"section")
+        return None
+    if workflow not in _CELL_WORKFLOWS:
+        raise ConfigError(
+            f"[cell] section is only valid for workflows "
+            f"{', '.join(_CELL_WORKFLOWS)} (SI units); '{workflow}' runs "
+            f"in scaled units")
+    missing = [k for k in ("length_m", "density_m3", "gamma_rad_s")
+               if k not in cl]
+    if "wavelength_m" not in cl and "photon_energy_j" not in cl:
+        missing.append("wavelength_m (or photon_energy_j)")
+    if "beam_radius_m" not in cl and "solid_angle_sr" not in cl:
+        missing.append("beam_radius_m (or solid_angle_sr)")
+    if missing:
+        raise ConfigError("missing required [cell] keys: "
+                          + ", ".join(missing))
+    _require_sign(cl, "cell", [k for k in cl if k != "grid_points"], True)
+    if "grid_points" in cl and cl["grid_points"] < 2:
+        raise ConfigError("[cell] grid_points must be >= 2")
+    if "photon_energy_j" in cl:
+        photon_energy = cl["photon_energy_j"]
+    else:
+        from scipy.constants import c, hbar
+        photon_energy = hbar * 2 * np.pi * c / cl["wavelength_m"]
+    if "solid_angle_sr" in cl:
+        solid_angle = cl["solid_angle_sr"]
+    else:
+        solid_angle = np.pi * cl["beam_radius_m"] ** 2 / cl["length_m"] ** 2
+    try:
+        return CellConfig(**{_CELL_ARG[k]: v for k, v in cl.items()
+                             if k in _CELL_ARG},
+                          photon_energy=photon_energy,
+                          solid_angle=solid_angle)
+    except ValueError as exc:
+        raise ConfigError(f"[cell] {exc}") from exc
+
+
+def _validate(cfg: ScenarioConfig) -> None:
+    """Checks on the built config, where an omitted key holds its default."""
+    if cfg.probe_polarization not in ("parallel", "perpendicular"):
+        raise ConfigError(f"[fields] probe_polarization must be parallel or "
+                          f"perpendicular, got {cfg.probe_polarization!r}")
+    if cfg.n_harmonics < 1:
+        raise ConfigError("[numerics] n_harmonics must be >= 1")
+    if cfg.output_format not in ("csv", "json"):
+        raise ConfigError(f"[output] format must be csv or json, got "
+                          f"{cfg.output_format!r}")
     need = {
         "inversion-scan": ("s_grid", "s"),
         "spectrum": ("delta_grid", "delta"),
@@ -389,6 +382,12 @@ def _validate_workflow_inputs(cfg: ScenarioConfig) -> None:
                           "mode = numeric")
     if cfg.workflow == "populations" and cfg.t_points < 2:
         raise ConfigError("empty grid: t_points must be >= 2")
+    if cfg.workflow == "inversion-scan":
+        scheme = cfg.scheme()
+        try:
+            inversion_pair(scheme)
+        except ValueError as exc:
+            raise ConfigError(f"[transition] {exc}") from exc
 
 
 def _sublevel_label(scheme: LevelScheme, i: int) -> str:
@@ -404,15 +403,14 @@ def _run_populations(cfg: ScenarioConfig) -> ResultTable:
         if abs(fields.delta) > 1e-12:
             raise ConfigError("populations workflow with a probe requires "
                               "offset = 0 (degenerate probe)")
-        from .levels import probe_raising
         Vx = probe_raising(scheme) * cfg.omega_pr
         H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p) \
             + 0.5 * (Vx + Vx.conj().T)
     else:
         H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p)
     L = build_liouvillian(H, build_collapse(scheme))
-    t_grid = np.linspace(0.0, cfg.t_final, cfg.t_points)
-    ev = evolve(L, equal_ground_state(scheme), cfg.t_final, t_eval=t_grid)
+    ev = evolve(L, equal_ground_state(scheme), cfg.t_final,
+                n_samples=cfg.t_points)
     return _populations_table(scheme, ev)
 
 
@@ -444,13 +442,9 @@ def _run_inversion_scan(cfg: ScenarioConfig) -> ResultTable:
     cols += [(f"pop_{_sublevel_label(scheme, i)}", "1")
              for i in range(scheme.dim)]
     cols += [("inversion_flag", "bool")]
-    e0 = scheme.index("excited", 0.0)
-    g_side = [scheme.index("ground", m) for m in (-1.0, 1.0)
-              if ("ground", m) in scheme.index_map]
-    pops = np.array([p.populations for p in scan.points])
-    inverted = pops[:, e0] > pops[:, g_side].max(axis=1)
-    rows = np.column_stack([_columns(scan.points, "S", "omega_p"), pops,
-                            inverted])
+    rows = np.column_stack([_columns(scan.points, "S", "omega_p"),
+                            [p.populations for p in scan.points],
+                            _columns(scan.points, "inverted")])
     prov = {}
     if scan.s_star is not None:
         prov["s_star"] = repr(float(scan.s_star))

@@ -15,8 +15,8 @@ nonzero pattern (:func:`_blocks`), so no symmetry is assumed: a field that
 mixes q merges them.  Each block is factorized on its own and the results
 are scattered back into the full vector.  Steady states come from one
 singular value decomposition per block (the null singular vectors).  Time
-evolution uses exact propagators e^{L dt} (scaling and squaring) of the
-whole L: one for a uniform sampling grid, one per interval on any other.
+evolution samples a uniform grid, stepping with one exact propagator
+e^{L dt} (scaling and squaring) of the whole L.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ class SaturationPoint:
     S: float
     omega_p: float
     populations: np.ndarray
+    inverted: bool  # rho(m_e=0) exceeds rho(m_g=+-1): see inversion_pair
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,6 @@ def _blocks(A: np.ndarray) -> Tuple[np.ndarray, ...]:
     return _components(pattern.shape[0], np.packbits(pattern).tobytes())
 
 
-def _block_svds(L: Liouvillian
-                ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(block, U, s, Vh) with L[b, b] = U diag(s) Vh for each diagonal block b
-    of L; the singular values of L are the union of the blocks' s."""
-    return [(b, *np.linalg.svd(L.matrix[np.ix_(b, b)]))
-            for b in _blocks(L.matrix)]
-
-
 def density_matrix_defects(rho: np.ndarray) -> Tuple[float, float, float]:
     """(hermiticity defect, trace defect, most negative eigenvalue)."""
     herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -173,56 +166,35 @@ class Evolution:
 
 
 def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
-           t_eval: Optional[Sequence[float]] = None, hermitize: bool = True,
-           n_samples: int = 201) -> Evolution:
-    """Propagate rho0 under L, sampled on ``t_eval`` (default: ``n_samples``
-    uniform times on [0, t_final]).
+           hermitize: bool = True, n_samples: int = 201) -> Evolution:
+    """Propagate rho0 under L, sampled at ``n_samples`` uniform times on
+    [0, t_final].
 
-    Each sample is the previous one times the exact propagator e^{L dt}: a
-    uniform grid uses a single matrix exponential, any other grid one per
-    interval.  The per-sample invariant repair is limited to
-    re-Hermitization; trace drift is left observable as a diagnostic.
+    Each sample is the previous one times the exact propagator e^{L dt} of
+    one grid step, a single matrix exponential.  The per-sample invariant
+    repair is limited to re-Hermitization; trace drift is left observable
+    as a diagnostic.
     """
     d = L.dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise ValueError("initial state dimension mismatch")
-    if t_eval is None:
-        t_grid = np.linspace(0.0, t_final, n_samples)
-    else:
-        t_grid = np.asarray(t_eval, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_eval must be a nonempty 1-D sequence of times")
-    if t_grid[0] != 0.0:
-        raise ValueError("t_eval must start at 0 (rho0 is the t = 0 state)")
-    steps = np.diff(t_grid)
-    if np.any(steps <= 0):
-        raise ValueError("t_eval must be strictly increasing")
-    # uniform: every time within a few ulps of k * t_end / n_steps, which
-    # np.linspace grids of any length satisfy
-    even = t_grid[-1] * np.arange(t_grid.size) / max(steps.size, 1)
-    uniform = steps.size > 0 and np.max(np.abs(t_grid - even)) \
-        <= 4 * np.finfo(float).eps * t_grid[-1]
-    step = expm(L.matrix * (t_grid[-1] / steps.size)) if uniform else None
-    states = np.empty((t_grid.size, d, d), dtype=complex)
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    step = expm(L.matrix * (t_final / (n_samples - 1)))
+    states = np.empty((n_samples, d, d), dtype=complex)
     states[0] = rho0
-    for k, dt in enumerate(steps, start=1):
-        prop = step if uniform else expm(L.matrix * dt)
-        rho = (prop @ states[k - 1].reshape(-1)).reshape(d, d)
+    for k in range(1, n_samples):
+        rho = (step @ states[k - 1].reshape(-1)).reshape(d, d)
         states[k] = 0.5 * (rho + rho.conj().T) if hermitize else rho
-    return Evolution(times=t_grid, states=states)
+    return Evolution(times=np.linspace(0.0, t_final, n_samples),
+                     states=states)
 
 
 # singular values below _NULL_REL_TOL * sigma_max span the null space; a
 # steady state whose residual max |L rho| exceeds _RESIDUAL_TOL is rejected
 _NULL_REL_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
-
-
-def _nullity(s: np.ndarray) -> int:
-    """Null-space dimension (at least 1) from singular values in any order."""
-    scale = float(np.max(s)) or 1.0
-    return max(1, int(np.sum(s <= _NULL_REL_TOL * scale)))
 
 
 def steady_state(L: Liouvillian, mode: str = "unique",
@@ -240,11 +212,15 @@ def steady_state(L: Liouvillian, mode: str = "unique",
     onto the kernel along the range of L (U0: the left null vectors).
     """
     d, n = L.dim, L.dim * L.dim
-    parts = _block_svds(L)
+    # (block, U, s, Vh) with L[b, b] = U diag(s) Vh per diagonal block b
+    parts = [(b, *np.linalg.svd(L.matrix[np.ix_(b, b)]))
+             for b in _blocks(L.matrix)]
     # (singular value, block, position in the block), ascending
     ranked = sorted((sv, k, i) for k, p in enumerate(parts)
                     for i, sv in enumerate(p[2]))
-    nullity = _nullity(np.array([r[0] for r in ranked]))
+    scale = ranked[-1][0] or 1.0
+    nullity = max(1, int(sum(sv <= _NULL_REL_TOL * scale
+                             for sv, _, _ in ranked)))
     if nullity > 1 and mode != "project":
         raise DegenerateSteadyStateError(nullity)
     if nullity > 1 and rho0 is None:
@@ -282,17 +258,34 @@ def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
 _BISECT_REL_TOL = 1e-3
 
 
+def inversion_pair(scheme: LevelScheme) -> Tuple[int, List[int]]:
+    """Indices of the sublevels the inversion criterion compares: excited
+    m = 0 and ground m = -1, +1, the sublevels of the paper's 1 -> 2
+    inversion.
+
+    Raises ValueError naming the line if it lacks them: a half-integer F has
+    no integer m, and F_g = 0 has no ground m = +-1.
+    """
+    pair = [("excited", 0.0), ("ground", -1.0), ("ground", 1.0)]
+    if not all(key in scheme.index_map for key in pair):
+        raise ValueError(
+            f"the F_g = {scheme.F_g:g} -> F_e = {scheme.F_e:g} line has no "
+            f"inversion pair (excited m = 0 against ground m = +-1)")
+    e0, *g_side = (scheme.index(*key) for key in pair)
+    return e0, g_side
+
+
 def inversion_scan(scheme: LevelScheme, delta_p: float,
                    s_grid: Sequence[float]) -> InversionScan:
     """Steady-state populations over a saturation-parameter grid.
 
-    Also locates the threshold S* where the population of (excited, m=0)
-    crosses that of (ground, |m|=1), by bisection between the bracketing grid
-    points to 1e-3 relative accuracy.
+    Each point records whether the population of (excited, m=0) exceeds
+    that of (ground, |m|=1) (see :func:`inversion_pair`, whose ValueError a
+    line without those sublevels raises).  Also locates the threshold S*
+    where they cross, by bisection between the bracketing grid points to
+    1e-3 relative accuracy.
     """
-    e0 = scheme.index("excited", 0.0)
-    g_side = [scheme.index("ground", m) for m in (-1.0, 1.0)
-              if ("ground", m) in scheme.index_map]
+    e0, g_side = inversion_pair(scheme)
 
     def gap(S: float) -> Tuple[float, np.ndarray]:
         omega = omega_from_saturation(S, delta_p)
@@ -307,7 +300,7 @@ def inversion_scan(scheme: LevelScheme, delta_p: float,
         gaps.append(g)
         points.append(SaturationPoint(
             S=float(S), omega_p=omega_from_saturation(S, delta_p),
-            populations=pops))
+            populations=pops, inverted=g > 0.0))
 
     s_star = None
     for i in range(len(gaps) - 1):

@@ -336,9 +336,6 @@ def output_curve(cell: CellConfig, scheme: LevelScheme, pump_intensities,
     rows = []
     for I_in in pump_intensities:
         I_in = float(I_in)
-        if I_in == 0.0:
-            rows.append(OutputPoint(I_z_in=0.0, omega_p=0.0, I_x_out=0.0))
-            continue
         fields = FieldConfig(omega_p=cell.omega_p_from_intensity(I_in),
                              omega_pr=0.0, delta_p=delta_p, delta_pr=delta_p)
         prof = propagate(cell, scheme, fields, I_z0=I_in, I_x0=0.0,

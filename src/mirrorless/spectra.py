@@ -44,11 +44,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import schur
 
-from .dynamics import (DegenerateSteadyStateError, Liouvillian, _block_svds,
-                       _blocks, _nullity, build_liouvillian,
+from .dynamics import (Liouvillian, _blocks, build_liouvillian,
                        pump_only_steady_state, steady_state, vectorize)
 from .levels import (LevelScheme, build_collapse, probe_raising,
-                     pump_hamiltonian, pump_raising)
+                     pump_hamiltonian, pump_raising, two_level_dipole_raising)
 
 
 class CorrelationWindowError(RuntimeError):
@@ -96,7 +95,6 @@ def perpendicular_dipole(scheme: LevelScheme) -> DipoleOperator:
 
 
 def two_level_dipole() -> DipoleOperator:
-    from .levels import two_level_dipole_raising
     return DipoleOperator(d_plus=two_level_dipole_raising(),
                           polarization="parallel", n_ground=1)
 
@@ -258,19 +256,16 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
     q = m (mod 2) (see :func:`_parity_sectors`): each R_m is one solve on a
     sector of about d^2 / 2 indices and the rho_0 system one on the even
     sector, O(n d^6 / 8) per offset against O(n d^6) on the whole space.
-    A dark line (null space of L0 of dimension > 1, by the test of
-    :func:`steady_state`) raises :class:`DegenerateSteadyStateError`.
+    L0 comes from :func:`pump_only_steady_state`, so a dark line (null
+    space of L0 of dimension > 1) raises its
+    :class:`DegenerateSteadyStateError`.
 
     At delta = 0 exactly, the probe-synchronous response is evaluated at an
     infinitesimal offset: the exactly degenerate static problem (see
     :func:`degenerate_probe_steady_state`) additionally folds in the coherent
     four-wave-mixing partner of the probe and is a different observable.
     """
-    L = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
-                          build_collapse(scheme))
-    nullity = _nullity(np.concatenate([s for _, _, s, _ in _block_svds(L)]))
-    if nullity > 1:
-        raise DegenerateSteadyStateError(nullity)
+    _, L = pump_only_steady_state(scheme, omega_p, delta_p)
     return _weak_probe(scheme, L, omega_pr, delta_grid, n_harmonics,
                        normalized)
 
@@ -303,8 +298,8 @@ def _parity_sectors(L0: np.ndarray, L_plus: np.ndarray, L_minus: np.ndarray
 def _weak_probe(scheme: LevelScheme, L: Liouvillian, omega_pr: float,
                 delta_grid: Sequence[float], n_harmonics: int,
                 normalized: bool) -> SpectrumResult:
-    """:func:`weak_probe_absorption` on a pump Liouvillian L whose null
-    space is already known to be one-dimensional."""
+    """:func:`weak_probe_absorption` on a pump Liouvillian L whose steady
+    state :func:`pump_only_steady_state` has found unique."""
     if omega_pr <= 0 or n_harmonics < 1:
         raise ValueError("explicit weak-probe route requires omega_pr > 0 "
                          "and n_harmonics >= 1")
@@ -399,7 +394,6 @@ def perpendicular_gain_spectrum(scheme: LevelScheme, fields,
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     omega_pr = fields.omega_pr if fields.omega_pr > 0 else 1e-3 * fields.omega_p
-    # steady_state has run weak_probe_absorption's dark-line test on this L
     rho_ss, L = pump_only_steady_state(scheme, fields.omega_p, fields.delta_p)
     reg = correlation_spectrum(L, rho_ss, perpendicular_dipole(scheme),
                                delta_grid)

@@ -18,9 +18,10 @@ library code it checks:
   144 x 144 (at most) Liouvillian (the library factorizes its diagonal
   blocks one by one).
 * ``weak_probe_oracle`` solves the whole truncated harmonic-balance system,
-  every harmonic at once, bordered by the trace condition, by dense
-  least squares (the library eliminates the harmonics by a matrix continued
-  fraction and uses rho_{-m} = rho_m^H).
+  every harmonic at once, with the trace condition as a sparse square
+  saddle-point system, or bordered by it by dense least squares (the
+  library eliminates the harmonics by a matrix continued fraction and uses
+  rho_{-m} = rho_m^H).
 * ``weak_probe_full_oracle`` is that continued fraction on the whole d^2
   index set, every solve of full size (the library solves each harmonic in
   its parity sector, about d^2/2).
@@ -35,7 +36,9 @@ from fractions import Fraction
 from math import factorial, sqrt
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm, schur, solve_triangular
+from scipy.sparse.linalg import spsolve
 
 
 def _fac(n: int) -> int:
@@ -213,42 +216,53 @@ def half_fourier_oracle(taus, c, omegas, slopes):
     return trapezoid - dt ** 2 / 12.0 * (fpT - fp0)
 
 
-def weak_probe_oracle(L0, v_plus, deltas, n_harmonics):
-    """-Im Tr[V+^H rho_1] per offset from the bordered harmonic system.
+def weak_probe_oracle(L0, v_plus, deltas, n_harmonics, solver="sparse"):
+    """-Im Tr[V+^H rho_1] per offset from the whole harmonic system.
 
     rho(t) = sum_{|m| <= n} rho_m e^{i m delta t} under the pump Liouvillian
     L0 (row-major vec) plus the probe H(t) = (V+ e^{i delta t} + h.c.)/2:
     rows (i m delta - L0) rho_m - L+ rho_{m-1} - L- rho_{m+1} = 0 for all m,
-    plus Tr rho_0 = 1, a (2n+1) d^2 + 1 by (2n+1) d^2 system solved by
-    ``lstsq``.  delta = 0 is moved to +-1e-6 as the library does.
+    A x = 0 with A of size (2n+1) d^2, plus Tr rho_0 = u . x = 1, u = vec 1
+    on the rho_0 slot.  u spans the left null space of A (vec 1 . L0 =
+    vec 1 . L+- = 0, and the m = 0 rows carry no i m delta term), so
+    ``solver='sparse'`` solves the square saddle-point system
+    [[A, u], [u^T, 0]] (x, 0) = (0, 1) with ``spsolve``; ``solver='lstsq'``
+    solves the (2n+1) d^2 + 1 by (2n+1) d^2 bordered system
+    [A; u^T] x = (0, 1) by dense least squares.  delta = 0 is moved to
+    +-1e-6 as the library does.
     """
     d = v_plus.shape[0]
     n = d * d
     eye = np.eye(d)
 
     def commutator(V):
-        return -0.5j * (np.kron(V, eye) - np.kron(eye, V.T))
+        return sparse.csr_matrix(-0.5j * (np.kron(V, eye) - np.kron(eye, V.T)))
 
     l_plus, l_minus = commutator(v_plus), commutator(v_plus.conj().T)
     harmonics = range(-n_harmonics, n_harmonics + 1)
-    nb = len(harmonics)
+    nb, k0 = len(harmonics), n_harmonics
+    u = np.zeros((1, nb * n))
+    u[0, k0 * n:(k0 + 1) * n] = eye.reshape(-1)
     out = []
     for delta in deltas:
         if abs(delta) < 1e-6:
             delta = 1e-6 if delta >= 0 else -1e-6
-        big = np.zeros((nb * n + 1, nb * n), dtype=complex)
+        blocks = [[None] * nb for _ in harmonics]
         for k, m in enumerate(harmonics):
-            rows = slice(k * n, (k + 1) * n)
-            big[rows, rows] = 1j * m * delta * np.eye(n) - L0
+            blocks[k][k] = sparse.csr_matrix(1j * m * delta * np.eye(n) - L0)
             if k > 0:
-                big[rows, (k - 1) * n:k * n] = -l_plus
+                blocks[k][k - 1] = -l_plus
             if k + 1 < nb:
-                big[rows, (k + 1) * n:(k + 2) * n] = -l_minus
-        k0 = n_harmonics
-        big[-1, k0 * n:(k0 + 1) * n] = eye.reshape(-1)
+                blocks[k][k + 1] = -l_minus
+        A = sparse.bmat(blocks)
         rhs = np.zeros(nb * n + 1, dtype=complex)
         rhs[-1] = 1.0
-        sol = np.linalg.lstsq(big, rhs, rcond=None)[0]
+        if solver == "sparse":
+            saddle = sparse.bmat([[A, u.T], [u, None]], format="csc")
+            sol = spsolve(saddle, rhs)
+        else:
+            bordered = sparse.vstack([A, u]).toarray()
+            sol = np.linalg.lstsq(bordered, rhs, rcond=None)[0]
         rho1 = sol[(k0 + 1) * n:(k0 + 2) * n].reshape(d, d)
         out.append(-np.imag(np.trace(v_plus.conj().T @ rho1)))
     return np.array(out)

@@ -12,7 +12,7 @@ import pytest
 import mirrorless
 
 REMOVED = ("gamma", "tol", "t_max", "decay_rel_tol", "null_rel_tol",
-           "residual_tol", "n_refine", "bisect_rel_tol")
+           "residual_tol", "n_refine", "bisect_rel_tol", "t_eval")
 
 
 def test_no_removed_parameters():

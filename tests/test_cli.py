@@ -286,6 +286,19 @@ grid_points = 11
 """
 
 
+MINIMAL_INVERSION = """
+[transition]
+f_ground = 1
+f_excited = 2
+
+[scan]
+workflow = inversion-scan
+s_min = 1
+s_max = 10
+s_points = 3
+"""
+
+
 INVALID_VALUES = [
     (MINIMAL_POPULATIONS, "saturation = 36", "saturation = -1", "saturation"),
     (MINIMAL_POPULATIONS, "saturation = 36", "omega_p = -2", "omega_p"),
@@ -309,6 +322,13 @@ INVALID_VALUES = [
     (MINIMAL_SPECTRUM, "delta_points = 9",
      "delta_points = 9\n[numerics]\nt_max_correlation = 5",
      "t_max_correlation"),
+    # the inversion criterion compares excited m = 0 with ground m = +-1
+    (MINIMAL_INVERSION, "f_ground = 1\nf_excited = 2",
+     "f_ground = 0.5\nf_excited = 1.5", "F_g = 0.5 -> F_e = 1.5"),
+    (MINIMAL_INVERSION, "f_ground = 1\nf_excited = 2",
+     "f_ground = 1.5\nf_excited = 2.5", "F_g = 1.5 -> F_e = 2.5"),
+    (MINIMAL_INVERSION, "f_ground = 1\nf_excited = 2",
+     "f_ground = 0\nf_excited = 1", "F_g = 0 -> F_e = 1"),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from mirrorless import (FieldConfig, build_collapse, build_liouvillian,
                         build_scheme, correlation_spectrum, equal_ground_state,
                         parallel_dipole, perpendicular_dipole, propagation,
-                        pump_hamiltonian)
+                        pump_hamiltonian, pump_only_steady_state)
 from mirrorless.levels import probe_raising, pump_raising
 from mirrorless.propagation import (CellConfig, _closed_form,
                                     _coherence_sum, output_curve, propagate,
@@ -184,6 +184,27 @@ def test_alpha_x_linear_response_matches_finite_probe(line, cell):
             assert gaps[0] <= 1e-5
             if omega_p > 0.1:
                 assert gaps[0] / gaps[1] == pytest.approx(4.0, abs=0.5)
+
+
+@pytest.mark.parametrize("line", [(0, 1), (0.5, 1.5), (1, 2), (1.5, 2.5),
+                                  (2, 3), (3, 4)],
+                         ids=lambda l: f"{l[0]:g}->{l[1]:g}")
+def test_alpha_x_matches_perpendicular_spectrum_at_zero_offset(line, cell):
+    # on an F -> F+1 line the static linear response alpha_x (one solve per
+    # q = +-1 block) equals kappa g_perp(0) / F_e, with g_perp the
+    # unnormalized regression spectrum (Schur route) of the same state and
+    # L; on F -> F lines g_perp(0) vanishes while alpha_x does not
+    scheme = build_scheme(*line)
+    for omega_p, delta_p in ((0.4, 0.75), (3.0, 1.5), (1.0, 0.0), (5.0, 10.0)):
+        alpha_x = transport_coefficients(
+            scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
+                                delta_p=delta_p, delta_pr=delta_p),
+            cell).alpha_x
+        rho, L = pump_only_steady_state(scheme, omega_p, delta_p)
+        g = correlation_spectrum(L, rho, perpendicular_dipole(scheme), [0.0],
+                                 normalized=False).absorption[0]
+        assert alpha_x == pytest.approx(
+            cell.absorption_scale * g / scheme.F_e, rel=1e-11)
 
 
 def test_alpha_x_well_conditioned_near_floor(scheme8, cell):

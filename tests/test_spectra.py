@@ -235,6 +235,23 @@ def test_weak_probe_matches_bordered_oracle(line, n_harmonics, probe_ratio):
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def test_weak_probe_matches_lstsq_oracle(scheme8):
+    # the dense least-squares solve of the bordered system, the sparse
+    # saddle-point oracle's own reference, on one 8-level case
+    omega_p, delta_p, omega_pr = 3.0, 1.5, 0.3
+    grid = np.linspace(-4.0, 4.0, 5)
+    got = weak_probe_absorption(scheme8, omega_p, delta_p, omega_pr, grid,
+                                n_harmonics=3, normalized=False).absorption
+    L0 = build_liouvillian(pump_hamiltonian(scheme8, omega_p, delta_p),
+                           build_collapse(scheme8)).matrix
+    v_plus = omega_pr * perpendicular_dipole(scheme8).d_plus
+    dense = weak_probe_oracle(L0, v_plus, grid, 3, solver="lstsq")
+    dense *= 2.0 / omega_pr ** 2
+    sparse = weak_probe_oracle(L0, v_plus, grid, 3) * 2.0 / omega_pr ** 2
+    assert np.max(np.abs(got - dense)) <= 1e-9 * np.max(np.abs(dense))
+    assert np.max(np.abs(sparse - dense)) <= 1e-9 * np.max(np.abs(dense))
+
+
 def test_weak_probe_converges_in_harmonics(scheme8):
     grid = np.linspace(-6, 6, 25)
     spectra = [weak_probe_absorption(scheme8, 3.0, 0.0, 0.3, grid,
