@@ -105,10 +105,10 @@ def _line(line):
             lambda: steady_state(L), lambda: steady_state_oracle(L.matrix),
             _dev(rho, steady_state_oracle(L.matrix))),
         "regression_321": (
-            lambda: correlation_spectrum(L, rho, d_op, grid, normalized=False),
+            lambda: correlation_spectrum(L, rho, d_op, grid),
             lambda: regression_oracle(L.matrix, rho, d_op.d_plus, grid),
-            _dev(correlation_spectrum(L, rho, d_op, grid,
-                                      normalized=False).absorption,
+            _dev(correlation_spectrum(L, rho, d_op, grid).absorption
+                 * d_op.peak_norm(),
                  regression_oracle(L.matrix, rho, d_op.d_plus, grid))),
     }
     out = {"dim": scheme.dim,

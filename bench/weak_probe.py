@@ -17,7 +17,8 @@ process after one warm-up, divided by the number of offsets, in seconds per
 offset.
 ``max_dev`` is the largest absolute difference between the two spectra,
 divided by the largest magnitude of the full route's spectrum.
-``sectors`` are the sizes of the even and odd index sets.
+``sectors`` are the sizes of the even and odd index sets, the indices of
+even and odd coherence order q = m_i - m_j.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import numpy as np  # noqa: E402
 from mirrorless import (build_collapse, build_liouvillian,  # noqa: E402
                         build_scheme)
 from mirrorless.levels import pump_hamiltonian  # noqa: E402
-from mirrorless.spectra import (_commutator_superoperator,  # noqa: E402
-                                _parity_sectors, _weak_probe,
-                                perpendicular_dipole)
+from mirrorless.spectra import (perpendicular_dipole,  # noqa: E402
+                                weak_probe_absorption)
 from layers import REPEATS, _conditions, _median_time, _sig  # noqa: E402
 from oracles import weak_probe_full_oracle  # noqa: E402
 
@@ -52,14 +52,15 @@ def _line(line):
     scheme = build_scheme(*line)
     L = build_liouvillian(pump_hamiltonian(scheme, OMEGA_P, DELTA_P),
                           build_collapse(scheme))
-    v_plus = OMEGA_PR * perpendicular_dipole(scheme).d_plus
-    sectors = _parity_sectors(L.matrix, _commutator_superoperator(v_plus),
-                              _commutator_superoperator(v_plus.conj().T))
-    out = {"dim": scheme.dim, "sectors": [len(s) for s in sectors]}
+    d_op = perpendicular_dipole(scheme)
+    v_plus = OMEGA_PR * d_op.d_plus
+    ms = np.array([m for _, m in scheme.sublevels])
+    odd = int(np.sum(np.subtract.outer(ms, ms) % 2 == 1))
+    out = {"dim": scheme.dim, "sectors": [scheme.dim ** 2 - odd, odd]}
     for nh in N_HARMONICS:
         def sector():
-            return _weak_probe(scheme, L, OMEGA_PR, GRID, nh,
-                               normalized=False).absorption
+            return weak_probe_absorption(scheme, L, OMEGA_PR, GRID,
+                                         nh).absorption * d_op.peak_norm()
 
         def full():
             return weak_probe_full_oracle(L.matrix, v_plus, GRID,

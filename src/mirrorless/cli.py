@@ -68,6 +68,9 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
 }
 
 _CELL_WORKFLOWS = ("propagate", "output-curve")
+# [scan] keys that only the propagate workflow reads
+_PROPAGATE_KEYS = ("mode", "self_consistent", "input_intensity",
+                   "seed_intensity")
 # INI keys whose ScenarioConfig field, or CellConfig argument, is named
 # otherwise; every other scenario key names its field
 _FIELD_OF_KEY = {"path": "output_path", "format": "output_format"}
@@ -272,6 +275,13 @@ def parse_config(path: str) -> ScenarioConfig:
 
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
+    stray = [k for k in _PROPAGATE_KEYS if k in scan]
+    if stray and workflow != "propagate":
+        raise ConfigError(f"[scan] {', '.join(stray)}: only valid for "
+                          f"workflow 'propagate', not '{workflow}'")
+    if scan.get("s_scale", "linear") not in ("linear", "log"):
+        raise ConfigError(f"[scan] s_scale must be linear or log, got "
+                          f"{scan['s_scale']!r}")
     if not two_level:
         try:
             build_scheme(tr["f_ground"], tr["f_excited"])
@@ -583,8 +593,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fmt = args.format or cfg.output_format
     path = args.output or cfg.output_path
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            table.write_csv(fh) if fmt == "csv" else table.write_json(fh)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                table.write_csv(fh) if fmt == "csv" else table.write_json(fh)
+        except OSError as exc:
+            print(f"config error: cannot write output {path}: {exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     else:
         table.write_csv(sys.stdout) if fmt == "csv" \
             else table.write_json(sys.stdout)

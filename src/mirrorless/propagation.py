@@ -14,13 +14,13 @@ coherence-order blocks q = +-1 of L.  Internal atomic calculations stay in
 Gamma = 1 scaled units; this module owns all SI conversions.  The default
 treatment freezes alpha and Gamma at the entry steady state (the pump and the
 generated field are degenerate, so the medium response is evaluated once); a
-self-consistent per-step mode is provided as a clearly labeled extension.
+self-consistent per-step mode is provided as an opt-in extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.constants import c as _c
@@ -123,7 +123,6 @@ class PropagationProfile:
     Gamma_z: np.ndarray      # 1/s
     Gamma_x: np.ndarray      # 1/s
     clamped: bool = False
-    metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.I_z < 0) or np.any(self.I_x < 0):
@@ -245,7 +244,7 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
     step, the matrix exponential of their 3 x 3 augmented generator.
     ``self_consistent=True`` (numeric only) recomputes the medium response
     from the local pump intensity at every step; this goes beyond the
-    frozen-coefficient treatment and is labeled in the profile metadata.
+    frozen-coefficient treatment: the profile's alpha and Gamma vary along y.
     """
     if I_z0 < 0 or I_x0 < 0:
         raise ValueError("entry intensities must be nonnegative")
@@ -285,9 +284,7 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
                 I_z[i + 1], I_x[i + 1] = max(z, 0.0), max(x, 0.0)
         return PropagationProfile(y=y, I_z=I_z, I_x=I_x, alpha_z=a_z,
                                   alpha_x=a_x, Gamma_z=g_z, Gamma_x=g_x,
-                                  clamped=clamped,
-                                  metadata={"mode": "numeric",
-                                            "self_consistent": True})
+                                  clamped=clamped)
 
     if mode == "closed_form":
         I_z = _closed_form(I_z0, co.alpha_z, co.source_z, y)
@@ -313,9 +310,7 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
         y=y, I_z=I_z, I_x=I_x,
         alpha_z=co.alpha_z * ones, alpha_x=co.alpha_x * ones,
         Gamma_z=co.gamma_z * ones, Gamma_x=co.gamma_x * ones,
-        clamped=clamped,
-        metadata={"mode": mode, "self_consistent": False,
-                  "omega_p": entry_fields.omega_p})
+        clamped=clamped)
 
 
 @dataclass(frozen=True)

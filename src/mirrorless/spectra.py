@@ -33,13 +33,14 @@ leaving one square system for the mean state in which the trace condition
 replaces a population row.  The probe moves the coherence order by +-1, so
 harmonic rho_m has q = m (mod 2) and every solve of the elimination runs on
 one parity sector of about d^2 / 2 indices (72 of 144 on the 2 -> 3 line),
-found from the nonzero patterns like the blocks.
+read off the sublevels' m.  All three routes take the operating point their
+caller built and return the spectrum in units of the undriven peak.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import schur
@@ -105,7 +106,6 @@ class SpectrumResult:
 
     delta: np.ndarray
     absorption: np.ndarray
-    metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.delta) <= 0):
@@ -169,8 +169,8 @@ def _regression_engine(L: Liouvillian, rho_ss: np.ndarray,
 
 
 def correlation_spectrum(L: Liouvillian, rho_ss: np.ndarray,
-                         d_op: DipoleOperator, delta_grid: Sequence[float],
-                         normalized: bool = True) -> SpectrumResult:
+                         d_op: DipoleOperator, delta_grid: Sequence[float]
+                         ) -> SpectrumResult:
     """Absorption spectrum vs pump-probe offset via the regression theorem.
 
     The half-Fourier transform of C(tau) = w . e^{L tau} x0 is evaluated in
@@ -187,15 +187,12 @@ def correlation_spectrum(L: Liouvillian, rho_ss: np.ndarray,
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     g = _regression_engine(L, rho_ss, d_op)(delta_grid)
-    norm = d_op.peak_norm() if normalized else 1.0
-    return SpectrumResult(delta=delta_grid, absorption=g / norm,
-                          metadata={"route": "regression",
-                                    "normalized": normalized})
+    return SpectrumResult(delta=delta_grid, absorption=g / d_op.peak_norm())
 
 
 def resolvent_spectrum(L: Liouvillian, rho_ss: np.ndarray,
-                       d_op: DipoleOperator, delta_grid: Sequence[float],
-                       normalized: bool = True) -> SpectrumResult:
+                       d_op: DipoleOperator, delta_grid: Sequence[float]
+                       ) -> SpectrumResult:
     """Same response evaluated exactly as a sum of Lorentzians.
 
     Diagonalizes the Liouvillian once; the half-Fourier transform of each
@@ -218,10 +215,7 @@ def resolvent_spectrum(L: Liouvillian, rho_ss: np.ndarray,
     g = np.empty(len(delta_grid))
     for i, delta in enumerate(delta_grid):
         g[i] = -np.real(np.sum(amp / (vals - 1j * delta)))
-    norm = d_op.peak_norm() if normalized else 1.0
-    return SpectrumResult(delta=delta_grid, absorption=g / norm,
-                          metadata={"route": "resolvent",
-                                    "normalized": normalized})
+    return SpectrumResult(delta=delta_grid, absorption=g / d_op.peak_norm())
 
 
 def _commutator_superoperator(V: np.ndarray) -> np.ndarray:
@@ -230,13 +224,15 @@ def _commutator_superoperator(V: np.ndarray) -> np.ndarray:
     return -0.5j * (np.kron(V, eye) - np.kron(eye, V.T))
 
 
-def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
+def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
                           omega_pr: float, delta_grid: Sequence[float],
-                          n_harmonics: int = 2,
-                          normalized: bool = True) -> SpectrumResult:
-    """Explicit weak-probe absorption from the driven steady state.
+                          n_harmonics: int = 2) -> SpectrumResult:
+    """Explicit weak-probe absorption of the pump steady state of L.
 
-    The probe enters the pump-frame master equation at finite Rabi frequency
+    L is the pump Liouvillian of :func:`pump_only_steady_state`, whose SVD
+    has found its steady state unique (on a dark line, null space of
+    dimension > 1, it raises :class:`DegenerateSteadyStateError`).  The
+    probe enters the pump-frame master equation at finite Rabi frequency
     omega_pr through its +-i-phased couplings oscillating at the offset
     delta; the periodic steady state is solved by harmonic balance truncated
     at ``n_harmonics`` sidebands (nonperturbative in omega_pr up to that
@@ -251,68 +247,37 @@ def weak_probe_absorption(scheme: LevelScheme, omega_p: float, delta_p: float,
     rho_m = R_m rho_{m-1}, R_{n+1} = 0, R_m = (i m delta - L0 - L_- R_{m+1})^-1
     L_+ eliminates m = n ... 1, and rho_{-m} = rho_m^H the negative side.
     The remaining rho_0 system, its (0, 0) population row replaced by the
-    trace row, is square and nonsingular.  L0 keeps the coherence order q
-    and L_+- move it by +-1, so rho_m lives on the indices with
-    q = m (mod 2) (see :func:`_parity_sectors`): each R_m is one solve on a
-    sector of about d^2 / 2 indices and the rho_0 system one on the even
+    trace row, is square and nonsingular.  L0 keeps the coherence order
+    q = m_i - m_j and L_+- move it by +-1, so rho_m lives on the indices
+    with q = m (mod 2), read off the sublevels' m: each R_m is one solve on
+    a sector of about d^2 / 2 indices and the rho_0 system one on the even
     sector, O(n d^6 / 8) per offset against O(n d^6) on the whole space.
-    L0 comes from :func:`pump_only_steady_state`, so a dark line (null
-    space of L0 of dimension > 1) raises its
-    :class:`DegenerateSteadyStateError`.
+    An L0 that couples an even to an odd q raises ValueError.
 
-    At delta = 0 exactly, the probe-synchronous response is evaluated at an
-    infinitesimal offset: the exactly degenerate static problem (see
+    An offset |delta| < 1e-6 is evaluated at delta = +-1e-6 (+ at 0): the
+    exactly degenerate static problem (see
     :func:`degenerate_probe_steady_state`) additionally folds in the coherent
     four-wave-mixing partner of the probe and is a different observable.
     """
-    _, L = pump_only_steady_state(scheme, omega_p, delta_p)
-    return _weak_probe(scheme, L, omega_pr, delta_grid, n_harmonics,
-                       normalized)
-
-
-def _parity_sectors(L0: np.ndarray, L_plus: np.ndarray, L_minus: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """(even, odd) index sets of the harmonic balance, found from the
-    nonzero patterns as :func:`~mirrorless.dynamics._blocks` finds blocks.
-
-    Two-colour the blocks of L0 so that L_+- only hop between colours: the
-    blocks of [[L0, L_+-], [L_+-, L0]] (index i + p d^2 standing for i in a
-    harmonic of parity p) are then mirror pairs, one copy of each holding
-    vec index 0 (the (0, 0) population) at p = 0.  Harmonic rho_m lives in
-    the even set for even m and in the odd set for odd m: for the x probe
-    these are the even and odd coherence orders q.  If some block joins an
-    index to its own mirror the pattern does not split, and both sets are
-    every index.
-    """
-    n = L0.shape[0]
-    stay, hop = L0 != 0, (L_plus != 0) | (L_minus != 0)
-    label = np.empty(2 * n, dtype=int)
-    for k, b in enumerate(_blocks(np.block([[stay, hop], [hop, stay]]))):
-        label[b] = k
-    if np.any(label[:n] == label[n:]):
-        return np.arange(n), np.arange(n)
-    even = (label[:n] < label[n:]) == (label[0] < label[n])
-    return np.flatnonzero(even), np.flatnonzero(~even)
-
-
-def _weak_probe(scheme: LevelScheme, L: Liouvillian, omega_pr: float,
-                delta_grid: Sequence[float], n_harmonics: int,
-                normalized: bool) -> SpectrumResult:
-    """:func:`weak_probe_absorption` on a pump Liouvillian L whose steady
-    state :func:`pump_only_steady_state` has found unique."""
     if omega_pr <= 0 or n_harmonics < 1:
         raise ValueError("explicit weak-probe route requires omega_pr > 0 "
                          "and n_harmonics >= 1")
     delta_grid = np.asarray(delta_grid, dtype=float)
     d, L0 = scheme.dim, L.matrix
+    # sector[p]: the indices of harmonics m = p (mod 2), those of coherence
+    # order q = p (mod 2); vec index 0 is even[0].  L0 keeps each sector,
+    # L_+- swap them: into sector p from 1 - p
+    m_sub = np.array([m for _, m in scheme.sublevels])
+    odd_q = np.subtract.outer(m_sub, m_sub).ravel() % 2 == 1
+    sector = np.flatnonzero(~odd_q), np.flatnonzero(odd_q)
+    even, odd = sector
+    if np.any(L0[np.ix_(even, odd)]) or np.any(L0[np.ix_(odd, even)]):
+        raise ValueError("the pump Liouvillian couples even and odd "
+                         "coherence orders")
     d_op = perpendicular_dipole(scheme)
     Vm = d_op.d_plus * omega_pr  # drive: H_pr(t) = (Vm e^{i delta t} + h.c.)/2
     L_plus = _commutator_superoperator(Vm)
     L_minus = _commutator_superoperator(Vm.conj().T)
-    # sector[p]: the indices of harmonics m = p (mod 2); vec index 0 is
-    # even[0].  L0 keeps each sector, L_+- swap them: into sector p from 1 - p
-    sector = _parity_sectors(L0, L_plus, L_minus)
-    even, odd = sector
     L0_in = [L0[np.ix_(s, s)] for s in sector]
     hop_in = [(L_plus[np.ix_(s, t)], L_minus[np.ix_(s, t)])
               for s, t in (sector, sector[::-1])]
@@ -341,13 +306,8 @@ def _weak_probe(scheme: LevelScheme, L: Liouvillian, omega_pr: float,
         central = -L0_in[0] - back - back.conj()[flip]
         central[0] = trace_row
         absorption[i] = -np.imag(w @ (R @ np.linalg.solve(central, unit)))
-    norm = d_op.peak_norm() if normalized else 1.0
-    absorption *= 2.0 / (omega_pr ** 2 * norm)
-    return SpectrumResult(delta=delta_grid, absorption=absorption,
-                          metadata={"route": "weak-probe",
-                                    "omega_pr": omega_pr,
-                                    "n_harmonics": nh,
-                                    "normalized": normalized})
+    absorption *= 2.0 / (omega_pr ** 2 * d_op.peak_norm())
+    return SpectrumResult(delta=delta_grid, absorption=absorption)
 
 
 def degenerate_probe_steady_state(scheme: LevelScheme, fields) -> np.ndarray:
@@ -378,7 +338,6 @@ class PerpendicularGain:
     delta: np.ndarray
     absorption: np.ndarray          # route (a): regression spectrum
     weak_probe_absorption: np.ndarray  # route (b): explicit weak probe
-    metadata: Dict
 
 
 def perpendicular_gain_spectrum(scheme: LevelScheme, fields,
@@ -397,13 +356,9 @@ def perpendicular_gain_spectrum(scheme: LevelScheme, fields,
     rho_ss, L = pump_only_steady_state(scheme, fields.omega_p, fields.delta_p)
     reg = correlation_spectrum(L, rho_ss, perpendicular_dipole(scheme),
                                delta_grid)
-    wp = _weak_probe(scheme, L, omega_pr, delta_grid, n_harmonics, True)
-    meta = dict(reg.metadata)
-    meta.update({"omega_p": fields.omega_p, "delta_p": fields.delta_p,
-                 "omega_pr": omega_pr})
+    wp = weak_probe_absorption(scheme, L, omega_pr, delta_grid, n_harmonics)
     return PerpendicularGain(delta=delta_grid, absorption=reg.absorption,
-                             weak_probe_absorption=wp.absorption,
-                             metadata=meta)
+                             weak_probe_absorption=wp.absorption)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Public API surface: knobs that have one value in use are constants."""
 
 import ast
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 import mirrorless
 
 REMOVED = ("gamma", "tol", "t_max", "decay_rel_tol", "null_rel_tol",
-           "residual_tol", "n_refine", "bisect_rel_tol", "t_eval")
+           "residual_tol", "n_refine", "bisect_rel_tol", "t_eval",
+           "normalized")
 
 
 def test_no_removed_parameters():
@@ -101,3 +103,16 @@ def test_bench_scripts_import_mirrorless_before_numpy(script):
     assert "mirrorless" in names
     early = names[:names.index("mirrorless")]
     assert not {"numpy", "scipy"} & set(early), early
+
+
+@pytest.mark.parametrize("script", sorted(BENCH.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_bench_scripts_import(script, monkeypatch):
+    # a bench script that imports a name the program no longer has fails
+    # here rather than at its next run; the scripts find each other on
+    # bench/ and the oracles on tests/, and sys.path is restored afterwards
+    monkeypatch.syspath_prepend(str(BENCH.parent / "tests"))
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{script.stem}",
+                                                  script)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

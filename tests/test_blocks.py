@@ -10,14 +10,14 @@ from mirrorless import (build_collapse, build_liouvillian, build_scheme,
 from mirrorless.dynamics import _blocks
 from mirrorless.levels import (probe_raising, pump_hamiltonian,
                                two_level_collapse, two_level_hamiltonian)
-from mirrorless.spectra import (_commutator_superoperator, _parity_sectors,
-                                _weak_probe, correlation_spectrum,
-                                parallel_dipole, perpendicular_dipole,
-                                two_level_dipole)
+from mirrorless.spectra import (_commutator_superoperator,
+                                correlation_spectrum, parallel_dipole,
+                                perpendicular_dipole, two_level_dipole,
+                                weak_probe_absorption)
 
 from conftest import random_density_matrix
 from oracles import (regression_oracle, steady_state_oracle,
-                     weak_probe_full_oracle, weak_probe_oracle)
+                     weak_probe_full_oracle)
 
 # every dipole line F_g -> F_e with at most 12 sublevels
 LINES = [(fg / 2, fe / 2) for fg in range(11) for fe in (fg - 2, fg, fg + 2)
@@ -106,7 +106,7 @@ def _spectrum_cases():
 def test_regression_matches_full_schur(case):
     L, rho, d_op = list(_spectrum_cases())[case]
     grid = np.linspace(-9.0, 9.0, 181)
-    g = correlation_spectrum(L, rho, d_op, grid, normalized=False).absorption
+    g = correlation_spectrum(L, rho, d_op, grid).absorption * d_op.peak_norm()
     assert _close(g, regression_oracle(L.matrix, rho, d_op.d_plus, grid))
 
 
@@ -117,21 +117,21 @@ def _probe_parts(scheme):
 
 @pytest.mark.parametrize("line", BRIGHT)
 def test_parity_sectors_split(line):
-    # the x probe moves q by +-1: harmonic rho_m has q = m (mod 2)
+    # the premise of the weak probe's sectors: the pump-only L keeps the
+    # parity of q and the x probe flips it, so harmonic rho_m has
+    # q = m (mod 2); the trace row lies in the even sector
     scheme = build_scheme(*line)
     L0 = _liouvillian(scheme, 3.0, 1.5).matrix
     L_plus, L_minus = _probe_parts(scheme)
-    even, odd = _parity_sectors(L0, L_plus, L_minus)
-    assert np.array_equal(np.sort(np.concatenate([even, odd])),
-                          np.arange(scheme.dim ** 2))
+    q = _coherence_order(scheme)
+    even, odd = np.flatnonzero(q % 2 == 0), np.flatnonzero(q % 2 == 1)
+    assert len(even) + len(odd) == scheme.dim ** 2
     assert not np.any(L0[np.ix_(even, odd)]) \
         and not np.any(L0[np.ix_(odd, even)])
     for hop in (L_plus, L_minus):
         assert not np.any(hop[np.ix_(even, even)]) \
             and not np.any(hop[np.ix_(odd, odd)])
-    assert not np.any(np.eye(scheme.dim).ravel()[odd])  # the trace row
-    q = _coherence_order(scheme)
-    assert np.all(q[even] % 2 == 0) and np.all(q[odd] % 2 == 1)
+    assert not np.any(np.eye(scheme.dim).ravel()[odd])
 
 
 @pytest.mark.parametrize("probe_ratio", [1e-3, 0.1], ids=["weak", "strong"])
@@ -142,23 +142,18 @@ def test_weak_probe_sectors_match_full_oracle(line, n_harmonics, probe_ratio):
     omega_pr = probe_ratio * 3.0
     L = _liouvillian(scheme, 3.0, 1.5)
     grid = np.linspace(-4.0, 4.0, 5)  # contains delta = 0
-    got = _weak_probe(scheme, L, omega_pr, grid, n_harmonics,
-                      normalized=False).absorption
-    ref = weak_probe_full_oracle(
-        L.matrix, omega_pr * perpendicular_dipole(scheme).d_plus, grid,
-        n_harmonics) * 2.0 / omega_pr ** 2
+    d_op = perpendicular_dipole(scheme)
+    got = weak_probe_absorption(scheme, L, omega_pr, grid,
+                                n_harmonics).absorption * d_op.peak_norm()
+    ref = weak_probe_full_oracle(L.matrix, omega_pr * d_op.d_plus, grid,
+                                 n_harmonics) * 2.0 / omega_pr ** 2
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_weak_probe_unsplit_pattern(scheme8):
-    # a static x-probe term in L0 mixes every q, so there is one sector:
-    # the whole space, solved by the same code
+    # a static x-probe term in L0 mixes every q, so the parity sectors do
+    # not split L0: the weak probe refuses it rather than solve a wrong
+    # system
     L = _liouvillian(scheme8, 3.0, 1.5, 0.3)
-    even, odd = _parity_sectors(L.matrix, *_probe_parts(scheme8))
-    assert np.array_equal(even, np.arange(64)) and np.array_equal(odd, even)
-    omega_pr, grid = 0.3, np.linspace(-4.0, 4.0, 5)
-    got = _weak_probe(scheme8, L, omega_pr, grid, 2,
-                      normalized=False).absorption
-    ref = weak_probe_oracle(L.matrix, omega_pr * perpendicular_dipole(
-        scheme8).d_plus, grid, 2) * 2.0 / omega_pr ** 2
-    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+    with pytest.raises(ValueError, match="coherence orders"):
+        weak_probe_absorption(scheme8, L, 0.3, np.linspace(-4.0, 4.0, 5))

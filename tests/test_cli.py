@@ -329,6 +329,12 @@ INVALID_VALUES = [
      "f_ground = 1.5\nf_excited = 2.5", "F_g = 1.5 -> F_e = 2.5"),
     (MINIMAL_INVERSION, "f_ground = 1\nf_excited = 2",
      "f_ground = 0\nf_excited = 1", "F_g = 0 -> F_e = 1"),
+    # a misspelt scale would otherwise give a linear grid
+    (MINIMAL_INVERSION, "s_points = 3", "s_points = 3\ns_scale = logarithmic",
+     "s_scale"),
+    # keys that only the propagate workflow reads
+    (MINIMAL_SPECTRUM, "delta_points = 9", "delta_points = 9\nmode = numeric",
+     "mode"),
 ]
 
 
@@ -342,6 +348,24 @@ def test_invalid_values_exit_config_error(tmp_path, capsys, base, old, new,
     assert main([path, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("via", ["option", "config"])
+@pytest.mark.parametrize("target", ["missing/out.csv", ""],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_config_error(tmp_path, capsys, via,
+                                              target):
+    # a path that cannot be opened for writing, whether given by --output
+    # or by [output] path, is a configuration error, not a traceback
+    from mirrorless.cli import main
+    out = tmp_path / target
+    body = MINIMAL_POPULATIONS
+    argv = ["--output", str(out)]
+    if via == "config":
+        body, argv = body + f"\n[output]\npath = {out}\n", []
+    assert main([write_config(tmp_path, body)] + argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {out}: ")
 
 
 def test_non_utf8_config_exits_config_error(tmp_path, capsys):

@@ -16,7 +16,8 @@ from mirrorless.propagation import (CellConfig, _closed_form,
                                     _coherence_sum, output_curve, propagate,
                                     spontaneous_sources,
                                     transport_coefficients)
-from mirrorless.spectra import degenerate_probe_steady_state
+from mirrorless.spectra import (degenerate_probe_steady_state,
+                                weak_probe_absorption)
 
 from oracles import two_level_absorption
 from units import unit
@@ -148,8 +149,8 @@ def test_undriven_alpha_matches_regression_spectrum(line, cell):
                               build_collapse(scheme))
         for alpha, d_op in zip(alphas, (parallel_dipole(scheme),
                                         perpendicular_dipole(scheme))):
-            g = correlation_spectrum(L, rho, d_op, [0.0],
-                                     normalized=False).absorption[0]
+            g = correlation_spectrum(L, rho, d_op, [0.0]).absorption[0] \
+                * d_op.peak_norm()
             assert alpha == pytest.approx(cell.absorption_scale * g,
                                           rel=1e-12)
 
@@ -195,16 +196,42 @@ def test_alpha_x_matches_perpendicular_spectrum_at_zero_offset(line, cell):
     # unnormalized regression spectrum (Schur route) of the same state and
     # L; on F -> F lines g_perp(0) vanishes while alpha_x does not
     scheme = build_scheme(*line)
+    d_op = perpendicular_dipole(scheme)
     for omega_p, delta_p in ((0.4, 0.75), (3.0, 1.5), (1.0, 0.0), (5.0, 10.0)):
         alpha_x = transport_coefficients(
             scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
                                 delta_p=delta_p, delta_pr=delta_p),
             cell).alpha_x
         rho, L = pump_only_steady_state(scheme, omega_p, delta_p)
-        g = correlation_spectrum(L, rho, perpendicular_dipole(scheme), [0.0],
-                                 normalized=False).absorption[0]
+        g = correlation_spectrum(L, rho, d_op, [0.0]).absorption[0] \
+            * d_op.peak_norm()
         assert alpha_x == pytest.approx(
             cell.absorption_scale * g / scheme.F_e, rel=1e-11)
+
+
+@pytest.mark.parametrize("line", [(0, 1), (0.5, 1.5), (1, 2), (1.5, 2.5),
+                                  (2, 3), (3, 4)],
+                         ids=lambda l: f"{l[0]:g}->{l[1]:g}")
+def test_alpha_x_matches_weak_probe_at_zero_offset(line, cell):
+    # the same identity by the explicit route: the unnormalized weak probe
+    # at omega_pr = 1e-4 omega_p on the L of transport_coefficients, which
+    # differs from the linear response by O(omega_pr^2). The route moves
+    # |delta| < 1e-6 to +-1e-6, so its delta = 0 value is g(+1e-6), off
+    # g(0) by the slope (1.5e-4 relative on 1 -> 2 at (0.4, 0.75)); the
+    # mean over delta = +-1e-6 cancels that slope
+    scheme = build_scheme(*line)
+    d_op = perpendicular_dipole(scheme)
+    for omega_p, delta_p in ((0.4, 0.75), (3.0, 1.5), (1.0, 0.0), (5.0, 10.0)):
+        alpha_x = transport_coefficients(
+            scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
+                                delta_p=delta_p, delta_pr=delta_p),
+            cell).alpha_x
+        _, L = pump_only_steady_state(scheme, omega_p, delta_p)
+        g = weak_probe_absorption(scheme, L, 1e-4 * omega_p,
+                                  [-1e-6, 1e-6]).absorption.mean() \
+            * d_op.peak_norm()
+        assert alpha_x * scheme.F_e / cell.absorption_scale == pytest.approx(
+            g, rel=1e-6)
 
 
 def test_alpha_x_well_conditioned_near_floor(scheme8, cell):
@@ -294,7 +321,6 @@ def test_self_consistent_mode_runs(scheme8, cell):
     prof = propagate(small, scheme8, f,
                      I_z0=cell.intensity_from_omega_p(0.4),
                      mode="numeric", self_consistent=True)
-    assert prof.metadata["self_consistent"] is True
     # pump is strongly absorbed; the local alpha_z relaxes toward the
     # unsaturated value as the pump depletes
     assert prof.I_z[-1] < prof.I_z[0]

@@ -5,9 +5,8 @@ import pytest
 
 from mirrorless import DegenerateSteadyStateError, FieldConfig, \
     build_liouvillian, build_scheme, pump_only_steady_state, steady_state
-from mirrorless.levels import (build_collapse, probe_raising,
-                               pump_hamiltonian, two_level_collapse,
-                               two_level_hamiltonian)
+from mirrorless.levels import (probe_raising, pump_hamiltonian,
+                               two_level_collapse, two_level_hamiltonian)
 from mirrorless.spectra import (CorrelationWindowError, DressedLadder,
                                 correlation_spectrum,
                                 degenerate_probe_steady_state, dressed_ladder,
@@ -87,7 +86,7 @@ def test_regression_matches_time_domain_oracle(case):
     taus, c, slopes = commutator_correlation_oracle(L.matrix, rho, d_op.d_plus,
                                                     dt, t_window)
     oracle = np.real(half_fourier_oracle(taus, c, -grid, slopes))
-    spec = correlation_spectrum(L, rho, d_op, grid, normalized=False)
+    g = correlation_spectrum(L, rho, d_op, grid).absorption * d_op.peak_norm()
     # the oracle's own error: the neglected tail beyond the window (the
     # trailing tenth of |C| decaying at the slowest rate) plus the corrected
     # trapezoid's dt^4/720 * int |f^(4)|, taking
@@ -97,7 +96,7 @@ def test_regression_matches_time_domain_oracle(case):
     truncation = np.max(np.abs(c[-len(c) // 10:])) / rates.min()
     reach = np.max(np.abs(grid)) + np.max(np.abs(eigs))
     quadrature = dt ** 4 / 720 * reach ** 4 * np.sum(np.abs(c)) * dt
-    err = np.max(np.abs(spec.absorption - oracle))
+    err = np.max(np.abs(g - oracle))
     assert err <= 2 * (truncation + quadrature)
 
 
@@ -112,8 +111,8 @@ def test_exceptional_point_matches_dense_solve():
     x0 = (d_op.d_plus @ rho - rho @ d_op.d_plus).reshape(-1)
     ref = [-np.real(np.trace(d_op.d_minus @ np.linalg.solve(
         M - 1j * delta * np.eye(4), x0).reshape(2, 2))) for delta in grid]
-    spec = correlation_spectrum(L, rho, d_op, grid, normalized=False)
-    assert np.max(np.abs(spec.absorption - ref)) <= 1e-13
+    g = correlation_spectrum(L, rho, d_op, grid).absorption * d_op.peak_norm()
+    assert np.max(np.abs(g - ref)) <= 1e-13
 
 
 def test_mollow_resonant_sidebands_at_rabi():
@@ -210,8 +209,9 @@ def test_routes_agree(scheme8):
 
 def test_weak_probe_linearity(scheme8):
     grid = np.linspace(-5, 5, 21)
-    w1 = weak_probe_absorption(scheme8, 3.0, 0.0, 3e-3, grid).absorption
-    w2 = weak_probe_absorption(scheme8, 3.0, 0.0, 1.5e-3, grid).absorption
+    _, L = pump_only_steady_state(scheme8, 3.0, 0.0)
+    w1 = weak_probe_absorption(scheme8, L, 3e-3, grid).absorption
+    w2 = weak_probe_absorption(scheme8, L, 1.5e-3, grid).absorption
     rel = np.abs(w1 - w2) / np.maximum(np.abs(w1), 1e-12)
     assert np.max(rel) < 1e-3  # halving the probe changes alpha < 0.1%
 
@@ -225,12 +225,12 @@ def test_weak_probe_matches_bordered_oracle(line, n_harmonics, probe_ratio):
     omega_p, delta_p = 3.0, 1.5
     omega_pr = probe_ratio * omega_p
     grid = np.linspace(-4.0, 4.0, 5)  # contains delta = 0
-    got = weak_probe_absorption(scheme, omega_p, delta_p, omega_pr, grid,
+    _, L = pump_only_steady_state(scheme, omega_p, delta_p)
+    got = weak_probe_absorption(scheme, L, omega_pr, grid,
                                 n_harmonics=n_harmonics).absorption
-    L0 = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
-                           build_collapse(scheme)).matrix
     d_op = perpendicular_dipole(scheme)
-    ref = weak_probe_oracle(L0, omega_pr * d_op.d_plus, grid, n_harmonics)
+    ref = weak_probe_oracle(L.matrix, omega_pr * d_op.d_plus, grid,
+                            n_harmonics)
     ref *= 2.0 / (omega_pr ** 2 * d_op.peak_norm())
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -240,11 +240,11 @@ def test_weak_probe_matches_lstsq_oracle(scheme8):
     # saddle-point oracle's own reference, on one 8-level case
     omega_p, delta_p, omega_pr = 3.0, 1.5, 0.3
     grid = np.linspace(-4.0, 4.0, 5)
-    got = weak_probe_absorption(scheme8, omega_p, delta_p, omega_pr, grid,
-                                n_harmonics=3, normalized=False).absorption
-    L0 = build_liouvillian(pump_hamiltonian(scheme8, omega_p, delta_p),
-                           build_collapse(scheme8)).matrix
-    v_plus = omega_pr * perpendicular_dipole(scheme8).d_plus
+    _, L = pump_only_steady_state(scheme8, omega_p, delta_p)
+    L0, d_op = L.matrix, perpendicular_dipole(scheme8)
+    got = weak_probe_absorption(scheme8, L, omega_pr, grid,
+                                n_harmonics=3).absorption * d_op.peak_norm()
+    v_plus = omega_pr * d_op.d_plus
     dense = weak_probe_oracle(L0, v_plus, grid, 3, solver="lstsq")
     dense *= 2.0 / omega_pr ** 2
     sparse = weak_probe_oracle(L0, v_plus, grid, 3) * 2.0 / omega_pr ** 2
@@ -254,7 +254,8 @@ def test_weak_probe_matches_lstsq_oracle(scheme8):
 
 def test_weak_probe_converges_in_harmonics(scheme8):
     grid = np.linspace(-6, 6, 25)
-    spectra = [weak_probe_absorption(scheme8, 3.0, 0.0, 0.3, grid,
+    _, L = pump_only_steady_state(scheme8, 3.0, 0.0)
+    spectra = [weak_probe_absorption(scheme8, L, 0.3, grid,
                                      n_harmonics=n).absorption
                for n in range(1, 8)]
     steps = [np.max(np.abs(b - a)) for a, b in zip(spectra, spectra[1:])]
@@ -265,15 +266,19 @@ def test_weak_probe_converges_in_harmonics(scheme8):
 
 @pytest.mark.parametrize("omega_pr, n_harmonics", [(0.0, 2), (3e-3, 0)])
 def test_weak_probe_rejects_bad_input(scheme8, omega_pr, n_harmonics):
+    _, L = pump_only_steady_state(scheme8, 3.0, 0.0)
     with pytest.raises(ValueError):
-        weak_probe_absorption(scheme8, 3.0, 0.0, omega_pr, [0.0, 1.0],
+        weak_probe_absorption(scheme8, L, omega_pr, [0.0, 1.0],
                               n_harmonics=n_harmonics)
 
 
 @pytest.mark.parametrize("line", [(2, 1), (1.5, 0.5)])
 def test_weak_probe_dark_line_raises(line):
+    # the weak probe runs on the pump L whose steady state the SVD has
+    # found unique: on a dark line that search raises first
+    f = FieldConfig(omega_p=3.0, omega_pr=3e-3, delta_p=0.0, delta_pr=0.0)
     with pytest.raises(DegenerateSteadyStateError) as err:
-        weak_probe_absorption(build_scheme(*line), 3.0, 0.0, 3e-3, [0.0, 1.0])
+        perpendicular_gain_spectrum(build_scheme(*line), f, [0.0, 1.0])
     assert err.value.dimension > 1
 
 
@@ -307,8 +312,9 @@ def test_degenerate_probe_halves_raman_peak(scheme8):
     Vu = probe_raising(scheme8)
     a_static = -2 * np.imag(np.trace(Vu.conj().T @ rho)) / f.omega_pr
     rho0, L = pump_only_steady_state(scheme8, 3.0, 0.0)
-    g0 = resolvent_spectrum(L, rho0, perpendicular_dipole(scheme8), [0.0],
-                            normalized=False).absorption[0]
+    d_op = perpendicular_dipole(scheme8)
+    g0 = resolvent_spectrum(L, rho0, d_op, [0.0]).absorption[0] \
+        * d_op.peak_norm()
     assert a_static / g0 == pytest.approx(0.5, rel=1e-3)
 
 
