@@ -7,15 +7,17 @@ floating-point equality hazards when checking selection rules.
 
 The dipole weight returned by :func:`dipole_weight` is the dimensionless ratio
 <F_g m_g|er|F_e m_e> / <F_g||er||F_e>, i.e. the sign-carrying geometric factor
-multiplying the reduced matrix element.  Branching ratios for spontaneous decay
-are proportional to its square, row-normalized over the ground manifold.
+multiplying the reduced matrix element.  The branching ratios for spontaneous
+decay are b = w**2 (2F_e + 1)/(2F_g + 1); the 3-j sum rule normalizes them, so
+every excited row adds up to 1 with no further division.  One exact evaluation
+per transition gives both b and the sign of w, from which the level layer
+builds its field couplings and decay channels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, sqrt
 from typing import Dict, Tuple
 
@@ -38,31 +40,6 @@ def _validate_pair(tj: int, tm: int) -> None:
         )
     if abs(tm) > tj:
         raise ValueError(f"|m|={abs(tm) / 2} exceeds j={tj / 2}")
-
-
-@dataclass(frozen=True)
-class ThreeJArgs:
-    """Arguments (j1 j2 j3; m1 m2 m3) of a Wigner 3-j symbol.
-
-    All entries may be integer or half-integer; construction validates the
-    integer/half-integer character of each (j, m) pair.
-    """
-
-    j1: float
-    j2: float
-    j3: float
-    m1: float
-    m2: float
-    m3: float
-
-    def __post_init__(self):
-        for j, m, tag in ((self.j1, self.m1, "1"), (self.j2, self.m2, "2"),
-                          (self.j3, self.m3, "3")):
-            _validate_pair(_twice(j, f"j{tag}"), _twice(m, f"m{tag}"))
-
-    def doubled(self) -> Tuple[int, int, int, int, int, int]:
-        return (_twice(self.j1), _twice(self.j2), _twice(self.j3),
-                _twice(self.m1), _twice(self.m2), _twice(self.m3))
 
 
 def _threej_squared_signed(tj1, tj2, tj3, tm1, tm2, tm3) -> Tuple[int, Fraction]:
@@ -117,7 +94,7 @@ def _threej_squared_signed(tj1, tj2, tj3, tm1, tm2, tm3) -> Tuple[int, Fraction]
     return sign, total * total * pref
 
 
-def wigner3j(args: ThreeJArgs) -> float:
+def threej(j1, j2, j3, m1, m2, m3) -> float:
     """Wigner 3-j symbol (j1 j2 j3; m1 m2 m3).
 
     Evaluated from the Racah closed-form sum with exact rational arithmetic;
@@ -125,13 +102,12 @@ def wigner3j(args: ThreeJArgs) -> float:
     non-integer j1+j2+j3) fails.  Raises ValueError for arguments whose m does
     not match the integer/half-integer character of its j.
     """
-    sign, sq = _threej_squared_signed(*args.doubled())
+    tj = [_twice(j, f"j{k}") for k, j in enumerate((j1, j2, j3), 1)]
+    tm = [_twice(m, f"m{k}") for k, m in enumerate((m1, m2, m3), 1)]
+    for pair in zip(tj, tm):
+        _validate_pair(*pair)
+    sign, sq = _threej_squared_signed(*tj, *tm)
     return sign * sqrt(float(sq))
-
-
-def threej(j1, j2, j3, m1, m2, m3) -> float:
-    """Convenience wrapper building :class:`ThreeJArgs` from bare numbers."""
-    return wigner3j(ThreeJArgs(j1, j2, j3, m1, m2, m3))
 
 
 def _dipole_weight_signed(tFg, tmg, tFe, tme, tq) -> Tuple[int, Fraction]:
@@ -149,13 +125,11 @@ def _dipole_weight_signed(tFg, tmg, tFe, tme, tq) -> Tuple[int, Fraction]:
     return phase * sign3, Fraction(tFg + 1) * sq3
 
 
-@lru_cache(maxsize=1024)
 def dipole_weight(F_g, m_g, F_e, m_e, q: int) -> float:
     """Relative dipole matrix element <F_g m_g|er_q|F_e m_e> / <F_g||er||F_e>.
 
     ``q`` is the spherical index of the field polarization; the weight is zero
     unless m_e + q - m_g = 0 (the 3-j convention used throughout).
-    Memoized: the exact evaluation is pure and costs far more than a lookup.
     """
     if q not in (-1, 0, 1):
         raise ValueError(f"spherical index q must be -1, 0 or +1, got {q}")
@@ -188,12 +162,14 @@ class BranchingTable:
         return sum((b for (te, _), b in self.entries.items() if te == tme), Fraction(0))
 
 
-def branching_ratios(F_g, F_e) -> BranchingTable:
-    """Branching ratios b(e->g) proportional to dipole_weight**2.
+def _signed_branching(F_g, F_e) -> Dict[Tuple[int, int], Tuple[int, Fraction]]:
+    """Sign and exact branching ratio of every allowed transition of a line.
 
-    Normalized within the modeled two-manifold system: each excited sublevel's
-    decay is distributed over the ground sublevels it couples to, summing to 1
-    exactly (the table entries are exact rationals).
+    Keys are the doubled (m_e, m_g).  Each transition is evaluated once:
+    b = w**2 (2F_e + 1)/(2F_g + 1), with w = :func:`dipole_weight`, and the
+    sign is that of w, so sign*sqrt(b) is the Clebsch-Gordan coefficient
+    <F_g m_g; 1 q|F_e m_e>.  The sum rule sum_{q, m_g} (F_e 1 F_g; m_e q
+    -m_g)**2 = 1/(2F_e + 1) makes every excited row of b add up to 1.
     """
     tFg, tFe = _twice(F_g, "F_g"), _twice(F_e, "F_e")
     if not (abs(tFg - tFe) <= 2):
@@ -201,22 +177,23 @@ def branching_ratios(F_g, F_e) -> BranchingTable:
     if tFg + tFe < 2:
         raise ValueError("F_g + F_e >= 1 required for a dipole-allowed line")
 
-    weights: Dict[Tuple[int, int], Fraction] = {}
+    scale = Fraction(tFe + 1, tFg + 1)
+    table: Dict[Tuple[int, int], Tuple[int, Fraction]] = {}
     for tme in range(-tFe, tFe + 1, 2):
         for tq in (-2, 0, 2):
             tmg = tme + tq
             if abs(tmg) > tFg:
                 continue
-            _, sq = _dipole_weight_signed(tFg, tmg, tFe, tme, tq)
-            if sq != 0:
-                weights[(tme, tmg)] = sq
+            sign, sq = _dipole_weight_signed(tFg, tmg, tFe, tme, tq)
+            if sign != 0:
+                table[(tme, tmg)] = sign, sq * scale
+    return table
 
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for tme in range(-tFe, tFe + 1, 2):
-        row = {tmg: sq for (te, tmg), sq in weights.items() if te == tme}
-        norm = sum(row.values(), Fraction(0))
-        if norm == 0:
-            continue  # dark excited sublevel (possible when F_e > F_g + ...)
-        for tmg, sq in row.items():
-            entries[(tme, tmg)] = sq / norm
+
+def branching_ratios(F_g, F_e) -> BranchingTable:
+    """Exact branching ratios b(e->g) of one line (see :func:`_signed_branching`).
+
+    Each excited row sums to 1 by the sum rule, with no renormalization.
+    """
+    entries = {k: b for k, (_, b) in _signed_branching(F_g, F_e).items()}
     return BranchingTable(F_g=F_g, F_e=F_e, entries=entries)

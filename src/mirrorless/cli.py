@@ -15,6 +15,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields as _fields
@@ -59,9 +60,7 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
              "mode": "str", "self_consistent": "bool"},
     "cell": {"length_m": "float", "density_m3": "float",
              "gamma_rad_s": "float", "wavelength_m": "float",
-             "photon_energy_j": "float", "beam_radius_m": "float",
-             "solid_angle_sr": "float", "grid_points": "int",
-             "i_sat_ref_w_m2": "float"},
+             "beam_radius_m": "float", "grid_points": "int"},
     # evolve_tol is ignored; it still parses so that older scenario files run
     "numerics": {"evolve_tol": "float", "n_harmonics": "int"},
     "output": {"path": "str", "format": "str"},
@@ -71,12 +70,13 @@ _CELL_WORKFLOWS = ("propagate", "output-curve")
 # [scan] keys that only the propagate workflow reads
 _PROPAGATE_KEYS = ("mode", "self_consistent", "input_intensity",
                    "seed_intensity")
-# INI keys whose ScenarioConfig field, or CellConfig argument, is named
-# otherwise; every other scenario key names its field
+# INI keys whose ScenarioConfig field is named otherwise; every other
+# scenario key names its field
 _FIELD_OF_KEY = {"path": "output_path", "format": "output_format"}
+# the CellConfig.pencil argument of each [cell] key
 _CELL_ARG = {"length_m": "length", "density_m3": "density",
-             "gamma_rad_s": "gamma_phys", "grid_points": "grid",
-             "i_sat_ref_w_m2": "i_sat_ref"}
+             "gamma_rad_s": "gamma_phys", "wavelength_m": "wavelength",
+             "beam_radius_m": "beam_radius", "grid_points": "grid"}
 
 
 class ConfigError(ValueError):
@@ -325,32 +325,15 @@ def _cell(cl: Dict, workflow: str) -> Optional[CellConfig]:
             f"[cell] section is only valid for workflows "
             f"{', '.join(_CELL_WORKFLOWS)} (SI units); '{workflow}' runs "
             f"in scaled units")
-    missing = [k for k in ("length_m", "density_m3", "gamma_rad_s")
-               if k not in cl]
-    if "wavelength_m" not in cl and "photon_energy_j" not in cl:
-        missing.append("wavelength_m (or photon_energy_j)")
-    if "beam_radius_m" not in cl and "solid_angle_sr" not in cl:
-        missing.append("beam_radius_m (or solid_angle_sr)")
+    missing = [k for k in _CELL_ARG if k != "grid_points" and k not in cl]
     if missing:
         raise ConfigError("missing required [cell] keys: "
                           + ", ".join(missing))
     _require_sign(cl, "cell", [k for k in cl if k != "grid_points"], True)
     if "grid_points" in cl and cl["grid_points"] < 2:
         raise ConfigError("[cell] grid_points must be >= 2")
-    if "photon_energy_j" in cl:
-        photon_energy = cl["photon_energy_j"]
-    else:
-        from scipy.constants import c, hbar
-        photon_energy = hbar * 2 * np.pi * c / cl["wavelength_m"]
-    if "solid_angle_sr" in cl:
-        solid_angle = cl["solid_angle_sr"]
-    else:
-        solid_angle = np.pi * cl["beam_radius_m"] ** 2 / cl["length_m"] ** 2
     try:
-        return CellConfig(**{_CELL_ARG[k]: v for k, v in cl.items()
-                             if k in _CELL_ARG},
-                          photon_energy=photon_energy,
-                          solid_angle=solid_angle)
+        return CellConfig.pencil(**{_CELL_ARG[k]: v for k, v in cl.items()})
     except ValueError as exc:
         raise ConfigError(f"[cell] {exc}") from exc
 
@@ -552,6 +535,12 @@ def run(cfg: ScenarioConfig) -> ResultTable:
     return table
 
 
+def _cannot_write(path: str, reason) -> int:
+    print(f"config error: cannot write output {path}: {reason}",
+          file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="simulate",
@@ -580,6 +569,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # an output path that cannot be written fails before the computation;
+    # the write below still catches what these checks cannot see
+    fmt = args.format or cfg.output_format
+    path = args.output or cfg.output_path
+    if path and os.path.isdir(path):
+        return _cannot_write(path, "is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        return _cannot_write(path, "its directory does not exist")
+
     try:
         table = run(cfg)
     # DegenerateSteadyStateError and CorrelationWindowError are RuntimeErrors
@@ -590,16 +588,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    fmt = args.format or cfg.output_format
-    path = args.output or cfg.output_path
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 table.write_csv(fh) if fmt == "csv" else table.write_json(fh)
         except OSError as exc:
-            print(f"config error: cannot write output {path}: {exc}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            return _cannot_write(path, exc)
     else:
         table.write_csv(sys.stdout) if fmt == "csv" \
             else table.write_json(sys.stdout)

@@ -5,7 +5,9 @@ z-polarized pump (Delta m = 0) and an x-polarized probe (Delta m = +-1).  The
 probe polarization is the circular superposition E_x = (i/sqrt(2)) (E_- + E_+),
 which fixes the +-i phase pattern of the probe couplings; the global gauge is
 chosen so pump couplings are real positive.  Observables are verified to be
-independent of this gauge in the test suite.
+independent of this gauge in the test suite.  One signed weight table per
+line feeds the pump and probe couplings and the three decay channels, so the
+Rabi weights and the branching ratios agree (b = w^2).
 
 All frequencies are in units of the excited-state decay rate Gamma and times
 in 1/Gamma; physical units enter only in the propagation layer.
@@ -19,7 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .angular import branching_ratios, dipole_weight
+from .angular import _signed_branching
 
 GROUND = "ground"
 EXCITED = "excited"
@@ -133,27 +135,44 @@ def build_scheme(F_g, F_e) -> LevelScheme:
                        sublevels=sublevels, index_map=index_map)
 
 
+@lru_cache(maxsize=16)
+def _weights(scheme: LevelScheme) -> np.ndarray:
+    """Signed weights w[e, g] = sign * sqrt(b) of one line, memoized, read-only.
+
+    w[e, g] is the Clebsch-Gordan coefficient <F_g m_g; 1 q|F_e m_e>,
+    q = m_g - m_e, and w^2 the branching ratio b of the decay e -> g, so w^2
+    sums to 1 over each excited row.  With this normalization the resonant
+    saturation parameter S = omega_p^2/(Gamma^2/4) reproduces the inversion
+    threshold S ~ 4 of the F=1 -> F=2 line.
+    """
+    w = np.zeros((scheme.dim, scheme.dim))
+    for (tme, tmg), (sign, b) in _signed_branching(scheme.F_g,
+                                                   scheme.F_e).items():
+        w[scheme.index(EXCITED, tme / 2),
+          scheme.index(GROUND, tmg / 2)] = sign * np.sqrt(float(b))
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=48)
+def _channel(scheme: LevelScheme, dm: int) -> np.ndarray:
+    """The entries w[e, g] of the weight table with m_e - m_g = dm, read-only."""
+    m = np.array([m for _, m in scheme.sublevels])
+    w = np.where(np.subtract.outer(m, m) == dm, _weights(scheme), 0.0)
+    w.flags.writeable = False
+    return w
+
+
 def coupling_weight(scheme: LevelScheme, m_g, m_e, q: int) -> float:
     """Signed per-transition coupling weight, normalized so weight^2 = b.
 
-    The Rabi frequency of each transition is (reduced Rabi) * weight with
-    weight = sign(3j factor) * sqrt(branching ratio), i.e. the Clebsch-Gordan
-    coefficient <F_g m_g; 1 q|F_e m_e>.  With this normalization the sum of
-    weight^2 over the ground sublevels reachable from any excited sublevel is
-    exactly 1, and the resonant saturation parameter S = omega_p^2/(Gamma^2/4)
-    reproduces the population-inversion threshold S ~ 4 of the F=1 -> F=2
-    line.
+    The Rabi frequency of each transition is (reduced Rabi) * weight; the
+    weight is zero unless q = m_g - m_e (see :func:`_weights`).
     """
-    w = dipole_weight(scheme.F_g, m_g, scheme.F_e, m_e, q)
-    if w == 0.0:
+    if m_g - m_e != q:
         return 0.0
-    scale = np.sqrt((2.0 * scheme.F_e + 1.0) / (2.0 * scheme.F_g + 1.0))
-    return w * scale
-
-
-def pi_weight(scheme: LevelScheme, m) -> float:
-    """Signed pi coupling weight between (ground, m) and (excited, m)."""
-    return coupling_weight(scheme, m, m, 0)
+    return float(_weights(scheme)[scheme.index(EXCITED, m_e),
+                                  scheme.index(GROUND, m_g)])
 
 
 def pump_raising(scheme: LevelScheme, signed: bool = False) -> np.ndarray:
@@ -163,17 +182,8 @@ def pump_raising(scheme: LevelScheme, signed: bool = False) -> np.ndarray:
     ``signed=True`` the natural signed weights are kept (used by the
     gauge-invariance tests).
     """
-    d = scheme.dim
-    out = np.zeros((d, d), dtype=complex)
-    for g in scheme.ground_indices:
-        m = scheme.m_of(g)
-        key = (EXCITED, m)
-        if key not in scheme.index_map:
-            continue
-        e = scheme.index_map[key]
-        w = pi_weight(scheme, m)
-        out[e, g] = w if signed else abs(w)
-    return out
+    w = _channel(scheme, 0)
+    return (w if signed else abs(w)).astype(complex)
 
 
 def probe_raising(scheme: LevelScheme, signed: bool = False) -> np.ndarray:
@@ -184,33 +194,15 @@ def probe_raising(scheme: LevelScheme, signed: bool = False) -> np.ndarray:
     of the printed 8-level Hamiltonian).  ``signed=True`` keeps the natural
     signed weights with a uniform +i/sqrt(2) prefactor instead.
     """
-    d = scheme.dim
-    out = np.zeros((d, d), dtype=complex)
-    for g in scheme.ground_indices:
-        m_g = scheme.m_of(g)
-        for q in (-1, +1):
-            key = (EXCITED, m_g - q)
-            if key not in scheme.index_map:
-                continue
-            e = scheme.index_map[key]
-            w = coupling_weight(scheme, m_g, m_g - q, q)
-            if w == 0.0:
-                continue
-            if signed:
-                out[e, g] = 1j * _X_COMPONENT * w
-            else:
-                out[e, g] = -1j * _X_COMPONENT * abs(w)
-    return out
+    w = _channel(scheme, -1) + _channel(scheme, +1)
+    if signed:
+        return 1j * _X_COMPONENT * w
+    return -1j * _X_COMPONENT * abs(w)
 
 
 def pump_coupled_excited(scheme: LevelScheme) -> List[int]:
     """Excited indices with a nonzero pi coupling to the ground manifold."""
-    out = []
-    for e in scheme.excited_indices:
-        m = scheme.m_of(e)
-        if (GROUND, m) in scheme.index_map and pi_weight(scheme, m) != 0.0:
-            out.append(e)
-    return out
+    return np.flatnonzero(_channel(scheme, 0).any(axis=1)).tolist()
 
 
 def build_hamiltonian(scheme: LevelScheme, fields: FieldConfig,
@@ -261,25 +253,14 @@ def pump_hamiltonian(scheme: LevelScheme, omega_p: float, delta_p: float,
 def build_collapse(scheme: LevelScheme) -> CollapseChannels:
     """Collapse operators for the Delta m = 0, -1, +1 decay channels.
 
+    Read from the line's weight table, sigma[g, e] = |w[e, g]| = sqrt(b).
     Memoized per line; the returned arrays are read-only."""
-    table = branching_ratios(scheme.F_g, scheme.F_e)
-    d = scheme.dim
-    sigmas = [np.zeros((d, d), dtype=complex) for _ in range(3)]
-    channel_of = {0: 0, -1: 1, +1: 2}  # paper ordering k = 1, 2, 3
-    for e in scheme.excited_indices:
-        m_e = scheme.m_of(e)
-        for g in scheme.ground_indices:
-            m_g = scheme.m_of(g)
-            dm = m_e - m_g
-            if dm not in channel_of:
-                continue
-            b = table.value(m_e, m_g)
-            if b == 0:
-                continue
-            sigmas[channel_of[dm]][g, e] = np.sqrt(float(b))
+    # paper ordering k = 1, 2, 3
+    sigmas = tuple(np.ascontiguousarray(abs(_channel(scheme, dm)).T,
+                                        dtype=complex) for dm in (0, -1, +1))
     for s in sigmas:
         s.flags.writeable = False
-    return CollapseChannels(sigmas=tuple(sigmas))
+    return CollapseChannels(sigmas=sigmas)
 
 
 def two_level_hamiltonian(omega: float, delta: float) -> np.ndarray:

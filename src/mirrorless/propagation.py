@@ -20,7 +20,7 @@ self-consistent per-step mode is provided as an opt-in extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.constants import c as _c
@@ -40,8 +40,10 @@ class CellConfig:
     """Geometry and SI parameters of the vapor cell.
 
     photon_energy is hbar*omega of the transition; solid_angle is the
-    emission cone Phi subtended by the cell ends.  ``i_sat_ref`` overrides
-    the saturation intensity derived from the reduced dipole moment.
+    emission cone Phi subtended by the cell ends.  :meth:`pencil` derives
+    both from the wavelength and the beam radius; the saturation intensity
+    and the absorption scale follow from Gamma and omega through the reduced
+    dipole moment.
     """
 
     length: float            # m
@@ -50,7 +52,6 @@ class CellConfig:
     photon_energy: float     # J
     solid_angle: float       # sr
     grid: int = 200
-    i_sat_ref: Optional[float] = None  # W/m^2
 
     def __post_init__(self):
         for name in ("length", "density", "gamma_phys", "photon_energy",
@@ -64,14 +65,13 @@ class CellConfig:
 
     @classmethod
     def pencil(cls, length: float, density: float, gamma_phys: float,
-               wavelength: float, beam_radius: float, grid: int = 200,
-               i_sat_ref: Optional[float] = None) -> "CellConfig":
+               wavelength: float, beam_radius: float,
+               grid: int = 200) -> "CellConfig":
         """Standard pencil-geometry estimate Phi = (beam area) / L^2."""
         omega = 2.0 * np.pi * _c / wavelength
         phi = np.pi * beam_radius ** 2 / length ** 2
         return cls(length=length, density=density, gamma_phys=gamma_phys,
-                   photon_energy=_hbar * omega, solid_angle=phi, grid=grid,
-                   i_sat_ref=i_sat_ref)
+                   photon_energy=_hbar * omega, solid_angle=phi, grid=grid)
 
     @property
     def omega_opt(self) -> float:
@@ -90,8 +90,6 @@ class CellConfig:
     @property
     def saturation_intensity(self) -> float:
         """I_sat such that omega_p = Gamma sqrt(I / (2 I_sat))."""
-        if self.i_sat_ref is not None:
-            return self.i_sat_ref
         return (_c * _eps0 * self.gamma_phys ** 2 * _hbar ** 2
                 / (4.0 * self.reduced_dipole_sq))
 

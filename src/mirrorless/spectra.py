@@ -254,10 +254,11 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     sector, O(n d^6 / 8) per offset against O(n d^6) on the whole space.
     An L0 that couples an even to an odd q raises ValueError.
 
-    An offset |delta| < 1e-6 is evaluated at delta = +-1e-6 (+ at 0): the
-    exactly degenerate static problem (see
-    :func:`degenerate_probe_steady_state`) additionally folds in the coherent
-    four-wave-mixing partner of the probe and is a different observable.
+    An offset |delta| < 1e-6 is evaluated as the mean over delta = +-1e-6,
+    which cancels the spectrum's slope there: the exactly degenerate static
+    problem (see :func:`degenerate_probe_steady_state`) additionally folds
+    in the coherent four-wave-mixing partner of the probe and is a different
+    observable.
     """
     if omega_pr <= 0 or n_harmonics < 1:
         raise ValueError("explicit weak-probe route requires omega_pr > 0 "
@@ -292,10 +293,8 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     unit = np.eye(len(even))[0]
     w = vectorize(Vm.conj())[odd]  # w . rho_1[odd] = Tr[Vm^H rho_1]
     nh = int(n_harmonics)
-    absorption = np.empty(len(delta_grid))
-    for i, delta in enumerate(delta_grid):
-        if abs(delta) < 1e-6:
-            delta = 1e-6 if delta >= 0 else -1e-6
+
+    def point(delta):
         back = 0.0  # L_- R_{m+1}, on sector m
         for m in range(nh, 0, -1):
             A = -L0_in[m % 2] - back
@@ -305,7 +304,11 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
         # rho_{-1} = Pi conj(R_1) Pi rho_0, so L_+ rho_{-1} = Pi conj(back) Pi rho_0
         central = -L0_in[0] - back - back.conj()[flip]
         central[0] = trace_row
-        absorption[i] = -np.imag(w @ (R @ np.linalg.solve(central, unit)))
+        return -np.imag(w @ (R @ np.linalg.solve(central, unit)))
+
+    absorption = np.array([
+        0.5 * (point(1e-6) + point(-1e-6)) if abs(delta) < 1e-6
+        else point(delta) for delta in delta_grid])
     absorption *= 2.0 / (omega_pr ** 2 * d_op.peak_norm())
     return SpectrumResult(delta=delta_grid, absorption=absorption)
 

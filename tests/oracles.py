@@ -228,8 +228,8 @@ def weak_probe_oracle(L0, v_plus, deltas, n_harmonics, solver="sparse"):
     ``solver='sparse'`` solves the square saddle-point system
     [[A, u], [u^T, 0]] (x, 0) = (0, 1) with ``spsolve``; ``solver='lstsq'``
     solves the (2n+1) d^2 + 1 by (2n+1) d^2 bordered system
-    [A; u^T] x = (0, 1) by dense least squares.  delta = 0 is moved to
-    +-1e-6 as the library does.
+    [A; u^T] x = (0, 1) by dense least squares.  |delta| < 1e-6 is the
+    mean over delta = +-1e-6, as the library does.
     """
     d = v_plus.shape[0]
     n = d * d
@@ -245,8 +245,10 @@ def weak_probe_oracle(L0, v_plus, deltas, n_harmonics, solver="sparse"):
     u[0, k0 * n:(k0 + 1) * n] = eye.reshape(-1)
     out = []
     for delta in deltas:
-        if abs(delta) < 1e-6:
-            delta = 1e-6 if delta >= 0 else -1e-6
+        if abs(delta) < 1e-6:  # the mean over +-1e-6, as the library does
+            out.append(weak_probe_oracle(L0, v_plus, [-1e-6, 1e-6],
+                                         n_harmonics, solver).mean())
+            continue
         blocks = [[None] * nb for _ in harmonics]
         for k, m in enumerate(harmonics):
             blocks[k][k] = sparse.csr_matrix(1j * m * delta * np.eye(n) - L0)
@@ -288,8 +290,10 @@ def weak_probe_full_oracle(L0, v_plus, deltas, n_harmonics):
     unit = np.eye(n)[0]
     out = []
     for delta in deltas:
-        if abs(delta) < 1e-6:
-            delta = 1e-6 if delta >= 0 else -1e-6
+        if abs(delta) < 1e-6:  # the mean over +-1e-6, as the library does
+            out.append(weak_probe_full_oracle(L0, v_plus, [-1e-6, 1e-6],
+                                              n_harmonics).mean())
+            continue
         back = np.zeros((n, n), dtype=complex)  # L- R_{m+1}
         for m in range(n_harmonics, 0, -1):
             R = np.linalg.solve(1j * m * delta * np.eye(n) - L0 - back,

@@ -5,8 +5,8 @@ from math import sqrt
 
 import pytest
 
-from mirrorless.angular import (BranchingTable, ThreeJArgs, branching_ratios,
-                                dipole_weight, threej, wigner3j)
+from mirrorless.angular import (BranchingTable, branching_ratios, dipole_weight,
+                                threej)
 
 from oracles import branching_oracle, dipole_weight_oracle, threej_oracle
 
@@ -43,11 +43,11 @@ def test_selection_rules_return_zero():
 
 def test_character_mismatch_rejected():
     with pytest.raises(ValueError):
-        ThreeJArgs(1, 1, 1, 0.5, 0, -0.5)
+        threej(1, 1, 1, 0.5, 0, -0.5)
     with pytest.raises(ValueError):
-        ThreeJArgs(1, 1, 1, 2, 0, -2)  # |m| > j
+        threej(1, 1, 1, 2, 0, -2)  # |m| > j
     with pytest.raises(ValueError):
-        ThreeJArgs(1, 1, 1, 0.25, 0, -0.25)  # not half-integer
+        threej(1, 1, 1, 0.25, 0, -0.25)  # not half-integer
 
 
 def _random_valid_args(rng, n):
@@ -173,8 +173,3 @@ def test_branching_table_is_exact_fractions():
     assert all(isinstance(b, Fraction) for b in table.entries.values())
     assert isinstance(table, BranchingTable)
 
-
-def test_wigner3j_args_roundtrip():
-    args = ThreeJArgs(1.5, 1, 0.5, 0.5, -1, 0.5)
-    assert wigner3j(args) == pytest.approx(
-        threej_oracle(1.5, 1, 0.5, 0.5, -1, 0.5), abs=1e-14)

@@ -335,6 +335,9 @@ INVALID_VALUES = [
     # keys that only the propagate workflow reads
     (MINIMAL_SPECTRUM, "delta_points = 9", "delta_points = 9\nmode = numeric",
      "mode"),
+    # the cell is given by wavelength and beam radius only
+    (MINIMAL_PROPAGATE, "grid_points = 11",
+     "grid_points = 11\nsolid_angle_sr = 0.01", "solid_angle_sr"),
 ]
 
 
@@ -353,11 +356,14 @@ def test_invalid_values_exit_config_error(tmp_path, capsys, base, old, new,
 @pytest.mark.parametrize("via", ["option", "config"])
 @pytest.mark.parametrize("target", ["missing/out.csv", ""],
                          ids=["missing-directory", "directory"])
-def test_unwritable_output_exits_config_error(tmp_path, capsys, via,
-                                              target):
+def test_unwritable_output_exits_config_error(tmp_path, capsys, monkeypatch,
+                                              via, target):
     # a path that cannot be opened for writing, whether given by --output
-    # or by [output] path, is a configuration error, not a traceback
+    # or by [output] path, is a configuration error, not a traceback, and
+    # it is found before the computation runs
     from mirrorless.cli import main
+    calls = []
+    monkeypatch.setattr("mirrorless.cli.run", calls.append)
     out = tmp_path / target
     body = MINIMAL_POPULATIONS
     argv = ["--output", str(out)]
@@ -366,6 +372,7 @@ def test_unwritable_output_exits_config_error(tmp_path, capsys, via,
     assert main([write_config(tmp_path, body)] + argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write output {out}: ")
+    assert calls == []
 
 
 def test_non_utf8_config_exits_config_error(tmp_path, capsys):

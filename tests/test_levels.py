@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mirrorless import (FieldConfig, build_collapse, build_hamiltonian,
-                        build_scheme, pump_hamiltonian)
+                        build_scheme, dipole_weight, pump_hamiltonian)
 from mirrorless.levels import (coupling_weight, probe_raising, pump_raising,
                                two_level_collapse, two_level_hamiltonian)
 
 from oracles import branching_oracle
+from test_blocks import LINES
 
 
 def test_scheme_8level_paper_numbering(scheme8):
@@ -167,6 +168,26 @@ def test_coupling_weight_squares_are_branching(scheme8):
     assert coupling_weight(scheme8, 0, 0, 0) ** 2 == pytest.approx(2 / 3)
     assert coupling_weight(scheme8, -1, -2, 1) ** 2 == pytest.approx(1.0)
     assert coupling_weight(scheme8, -1, 0, -1) ** 2 == pytest.approx(1 / 6)
+
+
+@pytest.mark.parametrize("line", LINES, ids=lambda l: f"{l[0]:g}->{l[1]:g}")
+def test_one_weight_table_feeds_couplings_and_decay(line):
+    # the pump, the probe and the decay channels read one signed weight
+    # table: the pi channel is the gauge-fixed pump coupling exactly, the
+    # sigma channels are the probe coupling up to its 1/sqrt(2) rounding,
+    # and the signed pump keeps the sign of the dipole weight
+    scheme = build_scheme(*line)
+    sigmas = build_collapse(scheme).sigmas
+    assert np.array_equal(sigmas[0], abs(pump_raising(scheme)).T)
+    sigma_pm = (sigmas[1] + sigmas[2]).real
+    probe = np.sqrt(2.0) * abs(probe_raising(scheme)).T
+    assert np.all(np.abs(sigma_pm - probe) <= np.spacing(sigma_pm))
+    signed = pump_raising(scheme, signed=True).real
+    for e in scheme.excited_indices:
+        for g in scheme.ground_indices:
+            w = dipole_weight(scheme.F_g, scheme.m_of(g), scheme.F_e,
+                              scheme.m_of(e), 0)
+            assert np.sign(signed[e, g]) == np.sign(w)
 
 
 def test_raising_operators_respect_selection_rules(scheme12):

@@ -215,10 +215,10 @@ def test_alpha_x_matches_perpendicular_spectrum_at_zero_offset(line, cell):
 def test_alpha_x_matches_weak_probe_at_zero_offset(line, cell):
     # the same identity by the explicit route: the unnormalized weak probe
     # at omega_pr = 1e-4 omega_p on the L of transport_coefficients, which
-    # differs from the linear response by O(omega_pr^2). The route moves
-    # |delta| < 1e-6 to +-1e-6, so its delta = 0 value is g(+1e-6), off
-    # g(0) by the slope (1.5e-4 relative on 1 -> 2 at (0.4, 0.75)); the
-    # mean over delta = +-1e-6 cancels that slope
+    # differs from the linear response by O(omega_pr^2). The spectrum's
+    # slope at delta = 0 puts g(+-1e-6) off g(0) (1.5e-4 relative on
+    # 1 -> 2 at (0.4, 0.75)); the mean over delta = +-1e-6 cancels it, and
+    # the route evaluates delta = 0 as that mean
     scheme = build_scheme(*line)
     d_op = perpendicular_dipole(scheme)
     for omega_p, delta_p in ((0.4, 0.75), (3.0, 1.5), (1.0, 0.0), (5.0, 10.0)):
@@ -228,10 +228,11 @@ def test_alpha_x_matches_weak_probe_at_zero_offset(line, cell):
             cell).alpha_x
         _, L = pump_only_steady_state(scheme, omega_p, delta_p)
         g = weak_probe_absorption(scheme, L, 1e-4 * omega_p,
-                                  [-1e-6, 1e-6]).absorption.mean() \
+                                  [-1e-6, 0.0, 1e-6]).absorption \
             * d_op.peak_norm()
-        assert alpha_x * scheme.F_e / cell.absorption_scale == pytest.approx(
-            g, rel=1e-6)
+        for value in (g[[0, 2]].mean(), g[1]):
+            assert alpha_x * scheme.F_e / cell.absorption_scale \
+                == pytest.approx(value, rel=1e-6)
 
 
 def test_alpha_x_well_conditioned_near_floor(scheme8, cell):
