@@ -292,6 +292,10 @@ def parse_config(path: str) -> ScenarioConfig:
     _require_sign(scan, "scan", ("t_final",), True)
     _require_sign(scan, "scan", ("input_intensity", "seed_intensity", "s_min",
                                  "omega_p_min", "pump_min"), False)
+    pump = [f"[fields] {k}" for k in ("omega_p", "saturation") if k in fl]
+    if "input_intensity" in scan and pump:
+        raise ConfigError(f"[scan] input_intensity and {pump[0]} are both "
+                          f"given: either fixes the entry pump")
 
     # a key the file omits keeps the default of its ScenarioConfig field
     given = {_FIELD_OF_KEY.get(k, k): v for keys in vals.values()
@@ -480,19 +484,15 @@ def _run_min_absorption(cfg: ScenarioConfig) -> ResultTable:
 
 
 def _run_propagate(cfg: ScenarioConfig) -> ResultTable:
-    scheme = cfg.scheme()
     cell = cfg.cell
-    if cfg.input_intensity is not None:
-        I0 = cfg.input_intensity
-        fields = FieldConfig(omega_p=cell.omega_p_from_intensity(I0),
-                             omega_pr=0.0, delta_p=cfg.delta_p,
-                             delta_pr=cfg.delta_p)
-    else:
-        fields = FieldConfig(omega_p=cfg.omega_p, omega_pr=0.0,
-                             delta_p=cfg.delta_p, delta_pr=cfg.delta_p)
-        I0 = cell.intensity_from_omega_p(cfg.omega_p)
-    prof = propagate(cell, scheme, fields, I_z0=I0, I_x0=cfg.seed_intensity,
-                     mode=cfg.mode, self_consistent=cfg.self_consistent)
+    fields = FieldConfig(omega_p=cfg.omega_p, omega_pr=0.0,
+                         delta_p=cfg.delta_p, delta_pr=cfg.delta_p)
+    # with input_intensity, omega_p is 0 and propagate derives it from I0
+    I0 = (cell.intensity_from_omega_p(cfg.omega_p)
+          if cfg.input_intensity is None else cfg.input_intensity)
+    prof = propagate(cell, cfg.scheme(), fields, I_z0=I0,
+                     I_x0=cfg.seed_intensity, mode=cfg.mode,
+                     self_consistent=cfg.self_consistent)
     cols = [("y", "m"), ("I_z", "W/m^2"), ("I_x", "W/m^2"),
             ("alpha_z", "1/m"), ("alpha_x", "1/m"),
             ("Gamma_z", "1/s"), ("Gamma_x", "1/s")]

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.constants import c as _c
 from scipy.constants import epsilon_0 as _eps0
 from scipy.constants import hbar as _hbar
-from scipy.linalg import expm
 
 from .dynamics import (_blocks, pump_only_steady_state, unvectorize,
                        vectorize)
@@ -140,30 +139,18 @@ def spontaneous_sources(rho_ss: np.ndarray, scheme: LevelScheme
     Gamma_x the two sigma channels, exactly the branching-weighted excited
     populations of the photon-rate analysis.
     """
-    channels = build_collapse(scheme)
-    g_z = 0.0
-    g_x = 0.0
-    for k, s in enumerate(channels.sigmas):
-        rates = np.real(np.diag(s.conj().T @ s @ rho_ss)).sum()
-        if k == 0:
-            g_z += rates
-        else:
-            g_x += rates
-    return float(g_z), float(g_x)
+    rates = [float(np.real(np.diag(s.conj().T @ s @ rho_ss)).sum())
+             for s in build_collapse(scheme).sigmas]
+    return rates[0], rates[1] + rates[2]
 
 
-def _closed_form(I0: float, alpha: float, source: float, y: np.ndarray
-                 ) -> np.ndarray:
-    """I(y) = I0 e^{-a y} - source (e^{-a y} - 1)/a, series-safe near a = 0."""
-    ay = alpha * y
-    decay = np.exp(-ay)
-    small = np.abs(ay) < 1e-6
-    # (e^{-a y} - 1)/a = -y (1 - a y/2 + (a y)^2/6 - ...)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(small,
-                        -y * (1.0 - ay / 2.0 + ay ** 2 / 6.0),
-                        np.expm1(-ay) / np.where(alpha == 0.0, 1.0, alpha))
-    return I0 * decay - source * frac
+def _closed_form(I0: float, alpha: float, source: float, y):
+    """I(y) = I0 e^{-a y} - source (e^{-a y} - 1)/a, and I0 + source y at a = 0.
+
+    ``alpha`` is a scalar; ``y`` a scalar or an array."""
+    if alpha == 0.0:
+        return I0 + source * y
+    return I0 * np.exp(-alpha * y) - source * (np.expm1(-alpha * y) / alpha)
 
 
 @dataclass(frozen=True)
@@ -237,78 +224,68 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
     """Propagate pump and orthogonal intensities along the cell.
 
     mode='closed_form' evaluates the analytic solution with alpha and the
-    sources frozen at the entry steady state; mode='numeric' steps the same
-    frozen-coefficient ODEs along the grid with the exact propagator of one
-    step, the matrix exponential of their 3 x 3 augmented generator.
-    ``self_consistent=True`` (numeric only) recomputes the medium response
-    from the local pump intensity at every step; this goes beyond the
-    frozen-coefficient treatment: the profile's alpha and Gamma vary along y.
+    sources frozen at the entry steady state, whose pump is
+    ``fields.omega_p``, or the Rabi frequency of ``I_z0`` if that is 0.
+    mode='numeric' steps the grid: each step of length h maps
+    I <- decay I + rise with decay = e^{-alpha h} and
+    rise = source (1 - e^{-alpha h})/alpha, the exact propagator of the
+    linear equation with the medium of the step's first point.  With the
+    coefficients frozen at the entry the map is computed once;
+    ``self_consistent=True`` (numeric only) recomputes the medium from the
+    local pump intensity at every grid point, so the profile's alpha and
+    Gamma vary along y.  A step that lands below zero is set to zero and
+    sets ``clamped``; the closed form clips its profile the same way.
     """
     if I_z0 < 0 or I_x0 < 0:
         raise ValueError("entry intensities must be nonnegative")
     if mode not in ("closed_form", "numeric"):
         raise ValueError(f"unknown propagation mode {mode!r}")
+    if self_consistent and mode != "numeric":
+        raise ValueError("self-consistent propagation requires mode='numeric'")
     y = np.linspace(0.0, cell.length, cell.grid)
-    entry_fields = FieldConfig(
-        omega_p=(fields.omega_p if fields.omega_p > 0
-                 else cell.omega_p_from_intensity(I_z0)),
-        omega_pr=0.0, delta_p=fields.delta_p, delta_pr=fields.delta_p)
-    co = transport_coefficients(scheme, entry_fields, cell)
 
-    clamped = False
-    if self_consistent:
-        if mode != "numeric":
-            raise ValueError("self-consistent propagation requires mode='numeric'")
-        n = len(y)
-        I_z = np.empty(n)
-        I_x = np.empty(n)
-        a_z = np.empty(n)
-        a_x = np.empty(n)
-        g_z = np.empty(n)
-        g_x = np.empty(n)
-        I_z[0], I_x[0] = I_z0, I_x0
-        for i in range(n):
-            local = FieldConfig(omega_p=cell.omega_p_from_intensity(I_z[i]),
-                                omega_pr=0.0, delta_p=fields.delta_p,
-                                delta_pr=fields.delta_p)
-            ci = transport_coefficients(scheme, local, cell)
-            a_z[i], a_x[i] = ci.alpha_z, ci.alpha_x
-            g_z[i], g_x[i] = ci.gamma_z, ci.gamma_x
-            if i + 1 < n:
-                h = np.array([y[i + 1] - y[i]])
-                z = _closed_form(I_z[i], a_z[i], ci.source_z, h)[0]
-                x = _closed_form(I_x[i], a_x[i], ci.source_x, h)[0]
-                clamped |= bool(min(z, x) < 0.0)
-                I_z[i + 1], I_x[i + 1] = max(z, 0.0), max(x, 0.0)
-        return PropagationProfile(y=y, I_z=I_z, I_x=I_x, alpha_z=a_z,
-                                  alpha_x=a_x, Gamma_z=g_z, Gamma_x=g_x,
-                                  clamped=clamped)
+    def medium(omega_p: float) -> TransportCoefficients:
+        return transport_coefficients(
+            scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
+                                delta_p=fields.delta_p,
+                                delta_pr=fields.delta_p), cell)
 
+    if not self_consistent:
+        co = medium(fields.omega_p if fields.omega_p > 0
+                    else cell.omega_p_from_intensity(I_z0))
     if mode == "closed_form":
         I_z = _closed_form(I_z0, co.alpha_z, co.source_z, y)
         I_x = _closed_form(I_x0, co.alpha_x, co.source_x, y)
-    else:
-        # (I_z, I_x, 1) obeys a linear ODE with constant generator G; the
-        # exact propagator e^{G h} of one grid step advances it
-        G = np.array([[-co.alpha_z, 0.0, co.source_z],
-                      [0.0, -co.alpha_x, co.source_x],
-                      [0.0, 0.0, 0.0]])
-        step = expm(G * (y[1] - y[0]))
-        u = np.empty((len(y), 3))
-        u[0] = I_z0, I_x0, 1.0
-        for k in range(1, len(y)):
-            u[k] = step @ u[k - 1]
-        I_z, I_x = u[:, 0], u[:, 1]
-    if np.any(I_z < 0) or np.any(I_x < 0):
-        clamped = True
-        I_z = np.clip(I_z, 0.0, None)
-        I_x = np.clip(I_x, 0.0, None)
-    ones = np.ones_like(y)
-    return PropagationProfile(
-        y=y, I_z=I_z, I_x=I_x,
-        alpha_z=co.alpha_z * ones, alpha_x=co.alpha_x * ones,
-        Gamma_z=co.gamma_z * ones, Gamma_x=co.gamma_x * ones,
-        clamped=clamped)
+        clamped = bool(np.any(I_z < 0) or np.any(I_x < 0))
+        ones = np.ones_like(y)
+        return PropagationProfile(
+            y=y, I_z=np.clip(I_z, 0.0, None), I_x=np.clip(I_x, 0.0, None),
+            alpha_z=co.alpha_z * ones, alpha_x=co.alpha_x * ones,
+            Gamma_z=co.gamma_z * ones, Gamma_x=co.gamma_x * ones,
+            clamped=clamped)
+
+    # rows: I_z, I_x, alpha_z, alpha_x, Gamma_z, Gamma_x; the step runs on
+    # plain floats
+    out = np.empty((6, len(y)))
+    z, x = float(I_z0), float(I_x0)
+    clamped = False
+    for i in range(len(y)):
+        if self_consistent:
+            co = medium(cell.omega_p_from_intensity(z))
+        out[:, i] = z, x, co.alpha_z, co.alpha_x, co.gamma_z, co.gamma_x
+        if i + 1 == len(y):
+            break
+        if self_consistent or i == 0:
+            h = y[i + 1] - y[i]
+            dz = float(_closed_form(1.0, co.alpha_z, 0.0, h))
+            rz = float(_closed_form(0.0, co.alpha_z, co.source_z, h))
+            dx = float(_closed_form(1.0, co.alpha_x, 0.0, h))
+            rx = float(_closed_form(0.0, co.alpha_x, co.source_x, h))
+        z, x = dz * z + rz, dx * x + rx
+        if z < 0.0 or x < 0.0:
+            clamped = True
+            z, x = max(z, 0.0), max(x, 0.0)
+    return PropagationProfile(y, *out, clamped=clamped)
 
 
 @dataclass(frozen=True)

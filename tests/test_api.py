@@ -62,6 +62,16 @@ def test_eig_route_stays_out_of_the_program():
     assert eig_in_reference == 1
 
 
+def test_propagation_steps_without_expm():
+    # numeric transport steps the closed form of one grid step; neither the
+    # matrix exponential nor anything else of scipy.linalg is needed there
+    path = Path(mirrorless.__file__).parent / "propagation.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if _name(node) == "expm" or isinstance(node, ast.ImportFrom)
+            and node.module == "scipy.linalg"] == []
+
+
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads(user_value, expected):
     # in a fresh process, since numpy is already imported here

@@ -307,6 +307,10 @@ INVALID_VALUES = [
     (MINIMAL_PROPAGATE, "length_m = 0.1", "length_m = -0.1", "length_m"),
     (MINIMAL_PROPAGATE, "mode = closed_form",
      "mode = closed_form\ninput_intensity = -5", "input_intensity"),
+    # the entry pump is given once: by intensity or by Rabi frequency
+    (MINIMAL_PROPAGATE, "mode = closed_form",
+     "mode = closed_form\ninput_intensity = 5.0",
+     "[scan] input_intensity and [fields] omega_p"),
     (MINIMAL_PROPAGATE, "mode = closed_form", "mode = bogus", "mode"),
     (MINIMAL_PROPAGATE, "mode = closed_form",
      "mode = closed_form\nself_consistent = true", "self_consistent"),

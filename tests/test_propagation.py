@@ -313,7 +313,14 @@ def test_source_positivity_and_fixed_point_approach(scheme8, cell):
     assert prof.I_x[-1] == pytest.approx(fixed_point, rel=1e-6)
 
 
-def test_self_consistent_mode_runs(scheme8, cell):
+def test_self_consistent_mode_runs(scheme8, cell, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transport_coefficients(*args)
+
+    monkeypatch.setattr(propagation, "transport_coefficients", counted)
     f = FieldConfig(omega_p=0.4, omega_pr=0.0, delta_p=0.75, delta_pr=0.75)
     small = CellConfig(length=cell.length, density=cell.density,
                        gamma_phys=cell.gamma_phys,
@@ -326,9 +333,14 @@ def test_self_consistent_mode_runs(scheme8, cell):
     # unsaturated value as the pump depletes
     assert prof.I_z[-1] < prof.I_z[0]
     assert np.all(prof.I_x >= 0)
+    # the medium is evaluated once per grid point, the entry included
+    assert len(calls) == 41
 
 
-def test_self_consistent_reports_clamping(scheme8, cell, monkeypatch):
+@pytest.mark.parametrize("self_consistent", [True, False])
+def test_self_consistent_reports_clamping(scheme8, cell, monkeypatch,
+                                         self_consistent):
+    # both numeric variants step with the same map and the same clamp rule
     monkeypatch.setattr(propagation, "_closed_form",
                         lambda I0, alpha, source, y: -np.ones_like(y))
     f = FieldConfig(omega_p=0.4, omega_pr=0.0, delta_p=0.75, delta_pr=0.75)
@@ -338,7 +350,7 @@ def test_self_consistent_reports_clamping(scheme8, cell, monkeypatch):
                        solid_angle=cell.solid_angle, grid=3)
     prof = propagate(small, scheme8, f,
                      I_z0=cell.intensity_from_omega_p(0.4),
-                     mode="numeric", self_consistent=True)
+                     mode="numeric", self_consistent=self_consistent)
     assert prof.clamped is True
     assert np.all(prof.I_z[1:] == 0) and np.all(prof.I_x[1:] == 0)
 
