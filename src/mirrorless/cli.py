@@ -5,6 +5,12 @@ analysis workflows, and writes a machine-readable table (CSV by default, or
 line-delimited JSON).  Atomic workflows run in scaled units (Gamma = 1); the
 propagation workflows additionally require the [cell] section in SI units.
 
+Every scenario key is one row of ``_KEYS``: its type, the workflows that
+read it, the ScenarioConfig field it sets and the constraint on its value.
+A key outside the table, a value that breaks its row's constraint, and a
+key that the chosen workflow does not read are configuration errors that
+name the key.  Rules that compare several keys follow the table.
+
 Exit codes: 0 success, 2 numerical failure, 3 configuration or usage
 error.
 """
@@ -18,14 +24,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields as _fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (build_liouvillian, equal_ground_state, evolve,
-                       inversion_pair, inversion_scan, omega_from_saturation,
+from .dynamics import (DegenerateSteadyStateError, build_liouvillian,
+                       equal_ground_state, evolve, inversion_pair,
+                       inversion_scan, omega_from_saturation,
                        pump_only_steady_state, steady_state)
 from .levels import (FieldConfig, LevelScheme, build_collapse, build_scheme,
                      probe_raising, pump_hamiltonian, two_level_collapse,
@@ -39,48 +46,92 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_CONFIG = 3
 
-WORKFLOWS = ("populations", "inversion-scan", "spectrum",
-             "min-absorption-scan", "propagate", "output-curve")
-
-_SCHEMA: Dict[str, Dict[str, str]] = {
-    "transition": {"f_ground": "float", "f_excited": "float",
-                   "two_level": "bool"},
-    "fields": {"omega_p": "float", "saturation": "float", "omega_pr": "float",
-               "delta_p": "float", "delta_pr": "float", "offset": "float",
-               "probe_polarization": "str"},
-    "scan": {"workflow": "str",
-             "t_final": "float", "t_points": "int",
-             "s_min": "float", "s_max": "float", "s_points": "int",
-             "s_scale": "str",
-             "delta_min": "float", "delta_max": "float", "delta_points": "int",
-             "omega_p_min": "float", "omega_p_max": "float",
-             "omega_p_points": "int",
-             "pump_min": "float", "pump_max": "float", "pump_points": "int",
-             "input_intensity": "float", "seed_intensity": "float",
-             "mode": "str", "self_consistent": "bool"},
-    "cell": {"length_m": "float", "density_m3": "float",
-             "gamma_rad_s": "float", "wavelength_m": "float",
-             "beam_radius_m": "float", "grid_points": "int"},
-    # evolve_tol is ignored; it still parses so that older scenario files run
-    "numerics": {"evolve_tol": "float", "n_harmonics": "int"},
-    "output": {"path": "str", "format": "str"},
-}
-
-_CELL_WORKFLOWS = ("propagate", "output-curve")
-# [scan] keys that only the propagate workflow reads
-_PROPAGATE_KEYS = ("mode", "self_consistent", "input_intensity",
-                   "seed_intensity")
-# INI keys whose ScenarioConfig field is named otherwise; every other
-# scenario key names its field
-_FIELD_OF_KEY = {"path": "output_path", "format": "output_format"}
-# the CellConfig.pencil argument of each [cell] key
-_CELL_ARG = {"length_m": "length", "density_m3": "density",
-             "gamma_rad_s": "gamma_phys", "wavelength_m": "wavelength",
-             "beam_radius_m": "beam_radius", "grid_points": "grid"}
+# each workflow and the [scan] grid it cannot run without
+WORKFLOWS = {"populations": None, "inversion-scan": "s", "spectrum": "delta",
+             "min-absorption-scan": "omega_p", "propagate": None,
+             "output-curve": "pump"}
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
+
+
+class _Key(NamedTuple):
+    """One scenario key; see ``_KEYS``."""
+
+    kind: type     # float (finite), int, bool or str
+    readers: str   # the workflows that read the key, or "all"
+    target: Optional[str]
+    check: object = None  # "positive", "nonnegative", a minimum or choices
+
+
+_PUMPED = "populations spectrum propagate"
+_SPECTRAL = "spectrum min-absorption-scan"
+_MINABS = "min-absorption-scan"
+_CELL = "propagate output-curve"
+
+# [section] key: type, readers, target, constraint.  The target is the
+# ScenarioConfig field the value sets, or "field.part" for a part of one: a
+# grid's min/max/points/scale, a CellConfig.pencil argument, or the
+# saturation or offset from which omega_p or delta_pr is derived.
+_KEYS: Dict[str, Dict[str, _Key]] = {
+    "transition": {
+        "f_ground": _Key(float, "all", "f_ground"),
+        "f_excited": _Key(float, "all", "f_excited"),
+        "two_level": _Key(bool, "spectrum", "two_level")},
+    "fields": {
+        "omega_p": _Key(float, _PUMPED, "omega_p", "nonnegative"),
+        "saturation": _Key(float, _PUMPED, "omega_p.saturation",
+                           "nonnegative"),
+        "omega_pr": _Key(float, "populations spectrum", "omega_pr",
+                         "nonnegative"),
+        "delta_p": _Key(float, "all", "delta_p"),
+        "delta_pr": _Key(float, "populations", "delta_pr"),
+        "offset": _Key(float, "populations", "delta_pr.offset"),
+        "probe_polarization": _Key(str, "spectrum", "probe_polarization",
+                                   ("parallel", "perpendicular"))},
+    "scan": {
+        "workflow": _Key(str, "all", "workflow", tuple(WORKFLOWS)),
+        "t_final": _Key(float, "populations", "t_final", "positive"),
+        "t_points": _Key(int, "populations", "t_points", 2),
+        "s_min": _Key(float, "inversion-scan", "s_grid.min", "nonnegative"),
+        "s_max": _Key(float, "inversion-scan", "s_grid.max"),
+        "s_points": _Key(int, "inversion-scan", "s_grid.points", 1),
+        "s_scale": _Key(str, "inversion-scan", "s_grid.scale",
+                        ("linear", "log")),
+        "delta_min": _Key(float, _SPECTRAL, "delta_grid.min"),
+        "delta_max": _Key(float, _SPECTRAL, "delta_grid.max"),
+        "delta_points": _Key(int, _SPECTRAL, "delta_grid.points", 1),
+        "omega_p_min": _Key(float, _MINABS, "omega_p_grid.min",
+                            "nonnegative"),
+        "omega_p_max": _Key(float, _MINABS, "omega_p_grid.max"),
+        "omega_p_points": _Key(int, _MINABS, "omega_p_grid.points", 1),
+        "pump_min": _Key(float, "output-curve", "pump_grid.min",
+                         "nonnegative"),
+        "pump_max": _Key(float, "output-curve", "pump_grid.max"),
+        "pump_points": _Key(int, "output-curve", "pump_grid.points", 1),
+        "input_intensity": _Key(float, "propagate", "input_intensity",
+                                "nonnegative"),
+        "seed_intensity": _Key(float, "propagate", "seed_intensity",
+                               "nonnegative"),
+        "mode": _Key(str, "propagate", "mode", ("closed_form", "numeric")),
+        "self_consistent": _Key(bool, "propagate", "self_consistent")},
+    "cell": {
+        "length_m": _Key(float, _CELL, "cell.length", "positive"),
+        "density_m3": _Key(float, _CELL, "cell.density", "positive"),
+        "gamma_rad_s": _Key(float, _CELL, "cell.gamma_phys", "positive"),
+        "wavelength_m": _Key(float, _CELL, "cell.wavelength", "positive"),
+        "beam_radius_m": _Key(float, _CELL, "cell.beam_radius", "positive"),
+        "grid_points": _Key(int, _CELL, "cell.grid", 2)},
+    "numerics": {
+        # read by no workflow, yet accepted by all: the benchmark's
+        # evolution scenarios (perfbench/scenarios.py) still write it
+        "evolve_tol": _Key(float, "all", None),
+        "n_harmonics": _Key(int, "spectrum", "n_harmonics", 1)},
+    "output": {
+        "path": _Key(str, "all", "output_path"),
+        "format": _Key(str, "all", "output_format", ("csv", "json"))},
+}
 
 
 @dataclass
@@ -121,9 +172,6 @@ class ScenarioConfig:
         return build_scheme(self.f_ground, self.f_excited)
 
 
-_CONFIG_FIELDS = {f.name for f in _fields(ScenarioConfig)}
-
-
 @dataclass
 class ResultTable:
     """Result as one float array: ``rows[i, k]`` is row i of column k, whose
@@ -160,61 +208,44 @@ class ResultTable:
         fh.write("\n".join(lines) + "\n")
 
 
-def _coerce(section: str, key: str, raw: str):
-    kind = _SCHEMA[section][key]
+def _value(section: str, key: str, text: str):
+    """``text`` as the key's type, checked against its constraint."""
+    row = _KEYS[section][key]
     try:
-        if kind == "float":
-            value = float(raw)
-            if np.isfinite(value):
-                return value
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw.strip()
-    except ValueError as exc:
-        expected = "finite float" if kind == "float" else kind
-        raise ConfigError(f"[{section}] {key} = {raw!r}: not a valid "
+        if row.kind is bool:
+            value = configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        else:
+            value = row.kind(text)
+        if row.kind is float and not np.isfinite(value):
+            raise ValueError(text)
+    except (KeyError, ValueError) as exc:
+        expected = "finite float" if row.kind is float else row.kind.__name__
+        raise ConfigError(f"[{section}] {key} = {text!r}: not a valid "
                           f"{expected}") from exc
+    rule = row.check
+    if isinstance(rule, tuple):
+        ok, rule = value in rule, "one of " + ", ".join(rule)
+    elif isinstance(rule, int):
+        ok, rule = value >= rule, f">= {rule}"
+    else:
+        ok = rule is None or (value > 0 if rule == "positive" else value >= 0)
+    if not ok:
+        raise ConfigError(f"[{section}] {key} = {value!r}: must be {rule}")
+    return value
 
 
-def _grid(vals: Dict, prefix: str, scale: Optional[str] = None
-          ) -> Optional[np.ndarray]:
-    lo = vals.get(f"{prefix}_min")
-    hi = vals.get(f"{prefix}_max")
-    n = vals.get(f"{prefix}_points")
-    given = [k for k, v in ((f"{prefix}_min", lo), (f"{prefix}_max", hi),
-                            (f"{prefix}_points", n)) if v is not None]
-    if not given:
-        return None
-    if len(given) != 3:
-        raise ConfigError(f"grid '{prefix}' needs {prefix}_min, {prefix}_max "
-                          f"and {prefix}_points (got only {', '.join(given)})")
-    if n < 1:
-        raise ConfigError(f"empty grid: {prefix}_points must be >= 1")
+def _grid(name: str, parts: Dict) -> np.ndarray:
+    """The grid ``<prefix>_grid`` from its min, max, points and scale."""
+    prefix = name[:-len("_grid")]
+    lo, hi, n = parts["min"], parts["max"], parts["points"]
     if n > 1 and not hi > lo:
         raise ConfigError(f"grid '{prefix}' must be increasing "
                           f"({prefix}_min < {prefix}_max)")
-    if scale == "log":
+    if parts.get("scale") == "log":
         if lo <= 0:
             raise ConfigError(f"log-scale grid '{prefix}' needs {prefix}_min > 0")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
-
-
-def _require_sign(vals: Dict, section: str, keys: Sequence[str],
-                  positive: bool) -> None:
-    for key in keys:
-        v = vals.get(key)
-        if v is not None and not (v > 0 if positive else v >= 0):
-            raise ConfigError(f"[{section}] {key} = {v!r}: must be "
-                              + ("positive" if positive else "nonnegative"))
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -234,155 +265,108 @@ def parse_config(path: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    workflow = parser.get("scan", "workflow", fallback=None)
+    if workflow is None:
+        raise ConfigError("missing required keys: [scan] workflow")
+    workflow = _value("scan", "workflow", workflow)
     unknown = []
-    vals: Dict[str, Dict] = {s: {} for s in _SCHEMA}
+    config: Dict = {}              # ScenarioConfig field -> value
+    parts: Dict[str, Dict] = {}    # ScenarioConfig field -> its parts
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             unknown.append(f"[{section}]")
             continue
-        for key, rawval in parser.items(section):
-            if key not in _SCHEMA[section]:
+        for key, text in parser.items(section):
+            row = _KEYS[section].get(key)
+            if row is None:
                 unknown.append(f"[{section}] {key}")
-            else:
-                vals[section][key] = _coerce(section, key, rawval)
+                continue
+            value = _value(section, key, text)
+            if row.readers != "all" and workflow not in row.readers.split():
+                raise ConfigError(
+                    f"[{section}] {key} is not read by workflow "
+                    f"'{workflow}', only by {', '.join(row.readers.split())}"
+                    + (f"; '{workflow}' runs in scaled units"
+                       if section == "cell" else ""))
+            if row.target is not None:
+                name, _, part = row.target.partition(".")
+                if part:
+                    parts.setdefault(name, {})[part] = value
+                else:
+                    config[name] = value
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
 
-    missing = []
-    scan = vals["scan"]
-    workflow = scan.get("workflow")
-    if workflow is None:
-        missing.append("[scan] workflow")
-    elif workflow not in WORKFLOWS:
-        raise ConfigError(f"unknown workflow {workflow!r}; expected one of "
-                          + ", ".join(WORKFLOWS))
-
-    tr = vals["transition"]
-    two_level = tr.get("two_level")
-    if not two_level:
-        for key in ("f_ground", "f_excited"):
-            if key not in tr and workflow is not None:
-                missing.append(f"[transition] {key}")
-
-    fl = vals["fields"]
-    if "omega_p" in fl and "saturation" in fl:
+    given = parser.has_option
+    if given("fields", "omega_p") and given("fields", "saturation"):
         raise ConfigError(
             "[fields] omega_p and saturation are both given: overdetermined "
             "(S fixes omega_p at the given detuning)")
-    if "delta_pr" in fl and "offset" in fl:
+    if given("fields", "delta_pr") and given("fields", "offset"):
         raise ConfigError("[fields] delta_pr and offset are both given: "
                           "offset = delta_pr - delta_p is derived")
-
+    two_level = config.get("two_level", False)
+    required = [] if two_level else [("transition", "f_ground"),
+                                     ("transition", "f_excited")]
+    # the workflow's own grid and any grid the file begins need all three
+    grids = [WORKFLOWS[workflow]] + [n[:-len("_grid")] for n in parts
+                                     if n.endswith("_grid")]
+    required += [("scan", f"{g}_{p}") for g in dict.fromkeys(grids) if g
+                 for p in ("min", "max", "points")]
+    if workflow in _CELL.split():
+        required += [("cell", k) for k in _KEYS["cell"] if k != "grid_points"]
+    missing = [f"[{s}] {k}" for s, k in required if not given(s, k)]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    stray = [k for k in _PROPAGATE_KEYS if k in scan]
-    if stray and workflow != "propagate":
-        raise ConfigError(f"[scan] {', '.join(stray)}: only valid for "
-                          f"workflow 'propagate', not '{workflow}'")
-    if scan.get("s_scale", "linear") not in ("linear", "log"):
-        raise ConfigError(f"[scan] s_scale must be linear or log, got "
-                          f"{scan['s_scale']!r}")
     if not two_level:
         try:
-            build_scheme(tr["f_ground"], tr["f_excited"])
+            build_scheme(config["f_ground"], config["f_excited"])
         except ValueError as exc:
-            raise ConfigError(f"[transition] f_ground = {tr['f_ground']:g}, "
-                              f"f_excited = {tr['f_excited']:g}: {exc}") from exc
-    _require_sign(fl, "fields", ("saturation", "omega_p", "omega_pr"), False)
-    _require_sign(scan, "scan", ("t_final",), True)
-    _require_sign(scan, "scan", ("input_intensity", "seed_intensity", "s_min",
-                                 "omega_p_min", "pump_min"), False)
-    pump = [f"[fields] {k}" for k in ("omega_p", "saturation") if k in fl]
-    if "input_intensity" in scan and pump:
+            raise ConfigError(f"[transition] f_ground = "
+                              f"{config['f_ground']:g}, f_excited = "
+                              f"{config['f_excited']:g}: {exc}") from exc
+    pump = [f"[fields] {k}" for k in ("omega_p", "saturation")
+            if given("fields", k)]
+    if given("scan", "input_intensity") and pump:
         raise ConfigError(f"[scan] input_intensity and {pump[0]} are both "
                           f"given: either fixes the entry pump")
 
-    # a key the file omits keeps the default of its ScenarioConfig field
-    given = {_FIELD_OF_KEY.get(k, k): v for keys in vals.values()
-             for k, v in keys.items()}
-    cfg = ScenarioConfig(
-        **{k: v for k, v in given.items() if k in _CONFIG_FIELDS},
-        s_grid=_grid(scan, "s", scan.get("s_scale")),
-        delta_grid=_grid(scan, "delta"),
-        omega_p_grid=_grid(scan, "omega_p"),
-        pump_grid=_grid(scan, "pump"),
-        cell=_cell(vals["cell"], workflow),
-        source_sha256=hashlib.sha256(raw).hexdigest())
-    if "saturation" in fl:
-        cfg.omega_p = float(omega_from_saturation(fl["saturation"],
-                                                  cfg.delta_p))
-    if "offset" in fl:
-        cfg.delta_pr = cfg.delta_p + fl["offset"]
+    try:
+        cell = CellConfig.pencil(**parts["cell"]) if "cell" in parts else None
+    except ValueError as exc:
+        raise ConfigError(f"[cell] {exc}") from exc
+    cfg = ScenarioConfig(**config, cell=cell,
+                         **{n: _grid(n, p) for n, p in parts.items()
+                            if n.endswith("_grid")},
+                         source_sha256=hashlib.sha256(raw).hexdigest())
+    if "omega_p" in parts:
+        cfg.omega_p = float(omega_from_saturation(
+            parts["omega_p"]["saturation"], cfg.delta_p))
+    if "delta_pr" in parts:
+        cfg.delta_pr = cfg.delta_p + parts["delta_pr"]["offset"]
     _validate(cfg)
     return cfg
 
 
-def _cell(cl: Dict, workflow: str) -> Optional[CellConfig]:
-    """The [cell] section (SI units) as a CellConfig, None if absent."""
-    if not cl:
-        if workflow in _CELL_WORKFLOWS:
-            raise ConfigError(f"workflow '{workflow}' requires the [cell] "
-                              f"section")
-        return None
-    if workflow not in _CELL_WORKFLOWS:
-        raise ConfigError(
-            f"[cell] section is only valid for workflows "
-            f"{', '.join(_CELL_WORKFLOWS)} (SI units); '{workflow}' runs "
-            f"in scaled units")
-    missing = [k for k in _CELL_ARG if k != "grid_points" and k not in cl]
-    if missing:
-        raise ConfigError("missing required [cell] keys: "
-                          + ", ".join(missing))
-    _require_sign(cl, "cell", [k for k in cl if k != "grid_points"], True)
-    if "grid_points" in cl and cl["grid_points"] < 2:
-        raise ConfigError("[cell] grid_points must be >= 2")
-    try:
-        return CellConfig.pencil(**{_CELL_ARG[k]: v for k, v in cl.items()})
-    except ValueError as exc:
-        raise ConfigError(f"[cell] {exc}") from exc
-
-
 def _validate(cfg: ScenarioConfig) -> None:
     """Checks on the built config, where an omitted key holds its default."""
-    if cfg.probe_polarization not in ("parallel", "perpendicular"):
-        raise ConfigError(f"[fields] probe_polarization must be parallel or "
-                          f"perpendicular, got {cfg.probe_polarization!r}")
-    if cfg.n_harmonics < 1:
-        raise ConfigError("[numerics] n_harmonics must be >= 1")
-    if cfg.output_format not in ("csv", "json"):
-        raise ConfigError(f"[output] format must be csv or json, got "
-                          f"{cfg.output_format!r}")
-    need = {
-        "inversion-scan": ("s_grid", "s"),
-        "spectrum": ("delta_grid", "delta"),
-        "min-absorption-scan": ("omega_p_grid", "omega_p"),
-        "output-curve": ("pump_grid", "pump"),
-    }.get(cfg.workflow)
-    if need and getattr(cfg, need[0]) is None:
-        raise ConfigError(f"workflow '{cfg.workflow}' requires the "
-                          f"[scan] {need[1]}_min/{need[1]}_max/{need[1]}_points grid")
     if cfg.workflow == "propagate" and cfg.input_intensity is None \
             and cfg.omega_p == 0.0:
         raise ConfigError("workflow 'propagate' needs [scan] input_intensity "
                           "or [fields] omega_p")
-    if cfg.two_level and cfg.workflow != "spectrum":
-        raise ConfigError("two_level = true is only meaningful for the "
-                          "spectrum workflow")
     if cfg.two_level and cfg.probe_polarization != "parallel":
         raise ConfigError("the two-level reference atom has no orthogonal "
                           "polarization; set probe_polarization = parallel")
-    if cfg.mode not in ("closed_form", "numeric"):
-        raise ConfigError(f"[scan] mode must be closed_form or numeric, got "
-                          f"{cfg.mode!r}")
     if cfg.self_consistent and cfg.mode != "numeric":
         raise ConfigError("[scan] self_consistent = true requires "
                           "mode = numeric")
-    if cfg.workflow == "populations" and cfg.t_points < 2:
-        raise ConfigError("empty grid: t_points must be >= 2")
+    # only populations reads delta_pr and offset, so only it can fail here
+    if cfg.omega_pr > 0 and abs(cfg.fields().delta) > 1e-12:
+        raise ConfigError("populations workflow with a probe requires "
+                          "offset = 0 (degenerate probe)")
     if cfg.workflow == "inversion-scan":
-        scheme = cfg.scheme()
         try:
-            inversion_pair(scheme)
+            inversion_pair(cfg.scheme())
         except ValueError as exc:
             raise ConfigError(f"[transition] {exc}") from exc
 
@@ -397,9 +381,6 @@ def _run_populations(cfg: ScenarioConfig) -> ResultTable:
     scheme = cfg.scheme()
     fields = cfg.fields()
     if cfg.omega_pr > 0:
-        if abs(fields.delta) > 1e-12:
-            raise ConfigError("populations workflow with a probe requires "
-                              "offset = 0 (degenerate probe)")
         Vx = probe_raising(scheme) * cfg.omega_pr
         H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p) \
             + 0.5 * (Vx + Vx.conj().T)
@@ -580,13 +561,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         table = run(cfg)
-    # DegenerateSteadyStateError and CorrelationWindowError are RuntimeErrors
+    except DegenerateSteadyStateError as exc:
+        print(f"numerical failure ({cfg.workflow}): the F_g = "
+              f"{cfg.f_ground:g} -> F_e = {cfg.f_excited:g} line has no "
+              f"unique steady state (null space of dimension "
+              f"{exc.dimension}): the line is undriven, or it is an "
+              f"F -> F-1 line with dark states; the populations workflow "
+              f"runs on such a line", file=sys.stderr)
+        return EXIT_NUMERICAL
+    # CorrelationWindowError is a RuntimeError
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure ({cfg.workflow}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     if path:
         try:

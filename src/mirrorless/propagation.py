@@ -223,9 +223,11 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
               self_consistent: bool = False) -> PropagationProfile:
     """Propagate pump and orthogonal intensities along the cell.
 
+    The entry pump is ``fields.omega_p``, or the Rabi frequency of ``I_z0``
+    if that is 0; a positive ``fields.omega_p`` that differs from it by
+    more than 1e-9 relative is a ValueError.
     mode='closed_form' evaluates the analytic solution with alpha and the
-    sources frozen at the entry steady state, whose pump is
-    ``fields.omega_p``, or the Rabi frequency of ``I_z0`` if that is 0.
+    sources frozen at the entry steady state.
     mode='numeric' steps the grid: each step of length h maps
     I <- decay I + rise with decay = e^{-alpha h} and
     rise = source (1 - e^{-alpha h})/alpha, the exact propagator of the
@@ -242,6 +244,10 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
         raise ValueError(f"unknown propagation mode {mode!r}")
     if self_consistent and mode != "numeric":
         raise ValueError("self-consistent propagation requires mode='numeric'")
+    entry = cell.omega_p_from_intensity(I_z0)
+    if fields.omega_p > 0 and abs(entry / fields.omega_p - 1.0) > 1e-9:
+        raise ValueError(f"entry pump given twice: fields.omega_p = "
+                         f"{fields.omega_p:g}, but I_z0 gives {entry:g}")
     y = np.linspace(0.0, cell.length, cell.grid)
 
     def medium(omega_p: float) -> TransportCoefficients:
@@ -251,8 +257,7 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
                                 delta_pr=fields.delta_p), cell)
 
     if not self_consistent:
-        co = medium(fields.omega_p if fields.omega_p > 0
-                    else cell.omega_p_from_intensity(I_z0))
+        co = medium(fields.omega_p if fields.omega_p > 0 else entry)
     if mode == "closed_form":
         I_z = _closed_form(I_z0, co.alpha_z, co.source_z, y)
         I_x = _closed_form(I_x0, co.alpha_x, co.source_x, y)

@@ -1,7 +1,9 @@
 """Config parsing, workflow dispatch, output format, exit codes."""
 
+import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 from itertools import zip_longest
@@ -10,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorless.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, ConfigError,
-                            ResultTable, ScenarioConfig, parse_config, run)
+from mirrorless.cli import (_KEYS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+                            WORKFLOWS, ConfigError, ResultTable,
+                            ScenarioConfig, parse_config, run)
 from oracles import table_csv_oracle, table_json_oracle
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "presets"
 
 
 def write_config(tmp_path, body, name="scenario.ini"):
@@ -554,3 +558,122 @@ def test_populations_columns_hold_the_entries_they_name(line, rng):
                                                   "im": "imag"}[part])
         assert np.array_equal(table.rows[:, k], expected), name
     assert len(table.columns) == 1 + d + n_sigma
+
+
+CELL_KEYS = {"length_m": "0.1", "density_m3": "1e16", "gamma_rad_s": "3.5e7",
+             "wavelength_m": "780e-9", "beam_radius_m": "1e-3"}
+# what each workflow needs beside the 1 -> 2 line and [scan] workflow
+NEEDS = {
+    "populations": {"fields": {"omega_p": "3"}},
+    "inversion-scan": {"scan": {"s_min": "1", "s_max": "10",
+                                "s_points": "3"}},
+    "spectrum": {"fields": {"omega_p": "3"},
+                 "scan": {"delta_min": "-4", "delta_max": "4",
+                          "delta_points": "9"}},
+    "min-absorption-scan": {"scan": {"omega_p_min": "0.5",
+                                     "omega_p_max": "2",
+                                     "omega_p_points": "2"}},
+    "propagate": {"fields": {"omega_p": "0.4"}, "cell": CELL_KEYS},
+    "output-curve": {"scan": {"pump_min": "0", "pump_max": "100",
+                              "pump_points": "2"}, "cell": CELL_KEYS},
+}
+
+
+def scenario_text(workflow, section=None, key=None, value=None):
+    sections = {"transition": {"f_ground": "1", "f_excited": "2"},
+                "scan": {"workflow": workflow}}
+    for name, keys in NEEDS[workflow].items():
+        sections.setdefault(name, {}).update(keys)
+    if key is not None:
+        sections.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                            for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def test_parallel_spectrum_accepts_n_harmonics(tmp_path):
+    # the spectrum workflow reads n_harmonics; that its parallel branch has
+    # no use for it is not a configuration error
+    body = scenario_text("spectrum", "fields", "probe_polarization",
+                         "parallel") + "[numerics]\nn_harmonics = 3\n"
+    assert parse_config(write_config(tmp_path, body)).n_harmonics == 3
+
+
+UNREAD = [(section, key, workflow) for section, keys in _KEYS.items()
+          for key, row in keys.items() for workflow in WORKFLOWS
+          if row.readers != "all" and workflow not in row.readers.split()]
+
+
+@pytest.mark.parametrize("section, key, workflow", UNREAD,
+                         ids=[f"{k}-{w}" for _, k, w in UNREAD])
+def test_unread_key_exits_config_error(tmp_path, capsys, section, key,
+                                       workflow):
+    from mirrorless.cli import main
+    row = _KEYS[section][key]
+    value = row.check[0] if isinstance(row.check, tuple) \
+        else {float: "1.0", int: "2", bool: "false"}[row.kind]
+    path = write_config(tmp_path, scenario_text(workflow, section, key, value))
+    assert main([path, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: [{section}] {key} is not read by workflow "
+        f"'{workflow}'")
+
+
+@pytest.mark.parametrize("line, workflow, keys", [
+    ((2, 1), "spectrum", "delta_min = -4\ndelta_max = 4\ndelta_points = 5"),
+    ((2, 1), "min-absorption-scan",
+     "omega_p_min = 3\nomega_p_max = 3\nomega_p_points = 1"),
+    # S = 0: the undriven line
+    ((1, 2), "inversion-scan", "s_min = 0\ns_max = 0\ns_points = 1"),
+])
+def test_degenerate_steady_state_message(tmp_path, capsys, line, workflow,
+                                         keys):
+    # the message speaks to a command-line user: no library call to make
+    from mirrorless.cli import main
+    pump = "omega_p = 3\n" if workflow == "spectrum" else ""
+    body = (f"[transition]\nf_ground = {line[0]}\nf_excited = {line[1]}\n"
+            f"[fields]\n{pump}[scan]\nworkflow = {workflow}\n{keys}\n")
+    path = write_config(tmp_path, body)
+    assert main([path, "--output", str(tmp_path / "out.csv")]) \
+        == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure ({workflow}): the F_g = "
+                          f"{line[0]} -> F_e = {line[1]} line")
+    assert "null space of dimension" in err and "populations" in err
+    assert "mode='project'" not in err
+
+
+def test_benchmark_scenarios_parse(tmp_path, monkeypatch):
+    # the benchmark's own scenario generator, loaded read-only: no bytecode
+    # is written beside it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_scenarios", ROOT / "perfbench" / "scenarios.py")
+    scenarios = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, scenarios)  # for dataclass
+    spec.loader.exec_module(scenarios)
+    cases = [s for workload in scenarios.WORKLOADS for seed in range(1, 11)
+             for tiny in (False, True)
+             for s in scenarios.generate(workload, seed, tiny)]
+    cases += scenarios.dark_line_scenarios(1)
+    for k, s in enumerate(cases):
+        path = write_config(tmp_path, s.ini, f"{k}.ini")
+        assert parse_config(path).workflow == s.workflow, s.id
+
+
+def test_readme_key_table_matches_code():
+    rows = re.findall(r"^\| `\[(\w+)\]` \| (.+?) \| (\w+) \| (.*?) \| (.+?) \|$",
+                      (ROOT / "README.md").read_text(encoding="utf-8"),
+                      re.M)
+    listed = {(section, key): (kind, rule, readers.replace(",", " ").split())
+              for section, keys, kind, rule, readers in rows
+              for key in re.findall(r"`(\w+)`", keys)}
+    in_code = {}
+    for section, keys in _KEYS.items():
+        for key, row in keys.items():
+            rule = row.check
+            rule = ("one of " + ", ".join(rule) if isinstance(rule, tuple)
+                    else f">= {rule}" if isinstance(rule, int) else rule or "")
+            in_code[section, key] = (row.kind.__name__, rule,
+                                     row.readers.split())
+    assert listed == in_code

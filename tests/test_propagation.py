@@ -408,3 +408,16 @@ def test_propagate_rejects_bad_input(scheme8, cell):
     with pytest.raises(ValueError):
         propagate(cell, scheme8, f, I_z0=1.0, mode="closed_form",
                   self_consistent=True)
+
+
+@pytest.mark.parametrize("mode, self_consistent",
+                         [("closed_form", False), ("numeric", False),
+                          ("numeric", True)])
+def test_propagate_rejects_two_entry_pumps(scheme8, cell, mode,
+                                           self_consistent):
+    # omega_p and I_z0 both fix the entry pump; when they disagree, no
+    # route may pick one of them silently
+    f = FieldConfig(omega_p=0.4, omega_pr=0.0, delta_p=0.75, delta_pr=0.75)
+    with pytest.raises(ValueError, match="entry pump given twice"):
+        propagate(cell, scheme8, f, I_z0=cell.intensity_from_omega_p(0.8),
+                  mode=mode, self_consistent=self_consistent)
