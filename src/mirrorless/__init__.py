@@ -15,8 +15,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .angular import (BranchingTable, branching_ratios, dipole_weight,
-                      threej)
+from .angular import BranchingTable, branching_ratios
 from .dynamics import (DegenerateSteadyStateError, Evolution, InversionScan,
                        Liouvillian, SaturationPoint, build_liouvillian,
                        equal_ground_state, evolve, inversion_scan,
@@ -35,7 +34,7 @@ from .spectra import (CorrelationWindowError, DipoleOperator, DressedLadder,
                       resolvent_spectrum, weak_probe_absorption)
 
 __all__ = [
-    "BranchingTable", "branching_ratios", "dipole_weight", "threej",
+    "BranchingTable", "branching_ratios",
     "CollapseChannels", "FieldConfig", "LevelScheme", "build_collapse",
     "build_hamiltonian", "build_scheme", "probe_raising", "pump_hamiltonian",
     "pump_raising",

@@ -259,7 +259,11 @@ def parse_config(path: str) -> ScenarioConfig:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal ('%' is no interpolation), and [DEFAULT] is an
+    # ordinary section: no section header can hold a newline
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None,
+                                       default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -4,10 +4,12 @@ Models one F_g -> F_e hyperfine line with full Zeeman degeneracy, driven by a
 z-polarized pump (Delta m = 0) and an x-polarized probe (Delta m = +-1).  The
 probe polarization is the circular superposition E_x = (i/sqrt(2)) (E_- + E_+),
 which fixes the +-i phase pattern of the probe couplings; the global gauge is
-chosen so pump couplings are real positive.  Observables are verified to be
-independent of this gauge in the test suite.  One signed weight table per
-line feeds the pump and probe couplings and the three decay channels, so the
-Rabi weights and the branching ratios agree (b = w^2).
+chosen so pump couplings are real positive.  The test suite verifies that
+observables do not depend on this gauge, except on the half-integer F -> F
+lines from F = 3/2 up, whose perpendicular spectra need the signs of the
+Clebsch-Gordan coefficients that w = sqrt(b) drops.  One table of branching
+ratios per line feeds the pump and probe couplings and the three decay
+channels, so the Rabi weights and the branching ratios agree (b = w^2).
 
 All frequencies are in units of the excited-state decay rate Gamma and times
 in 1/Gamma; physical units enter only in the propagation layer.
@@ -21,7 +23,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .angular import _signed_branching
+from .angular import branching_ratios
 
 GROUND = "ground"
 EXCITED = "excited"
@@ -120,7 +122,7 @@ class CollapseChannels:
 
 def build_scheme(F_g, F_e) -> LevelScheme:
     """Construct the sublevel basis for an F_g -> F_e line."""
-    if abs(F_g - F_e) > 1 or F_g + F_e < 1:
+    if F_e - F_g not in (-1, 0, 1) or (2 * F_g) % 1 or F_g + F_e < 1:
         raise ValueError(f"invalid dipole line F_g={F_g} -> F_e={F_e}")
     if F_g < 0 or F_e < 0:
         raise ValueError("total angular momenta must be nonnegative")
@@ -137,19 +139,19 @@ def build_scheme(F_g, F_e) -> LevelScheme:
 
 @lru_cache(maxsize=16)
 def _weights(scheme: LevelScheme) -> np.ndarray:
-    """Signed weights w[e, g] = sign * sqrt(b) of one line, memoized, read-only.
+    """Weights w[e, g] = sqrt(b) of one line, memoized, read-only.
 
-    w[e, g] is the Clebsch-Gordan coefficient <F_g m_g; 1 q|F_e m_e>,
-    q = m_g - m_e, and w^2 the branching ratio b of the decay e -> g, so w^2
-    sums to 1 over each excited row.  With this normalization the resonant
-    saturation parameter S = omega_p^2/(Gamma^2/4) reproduces the inversion
-    threshold S ~ 4 of the F=1 -> F=2 line.
+    w[e, g] is the magnitude of the Clebsch-Gordan coefficient
+    <F_g m_g; 1 mu|F_e m_e>, mu = m_e - m_g, and w^2 the branching ratio b of
+    the decay e -> g, so w^2 sums to 1 over each excited row.  With this
+    normalization the resonant saturation parameter S = omega_p^2/(Gamma^2/4)
+    reproduces the inversion threshold S ~ 4 of the F=1 -> F=2 line.
     """
     w = np.zeros((scheme.dim, scheme.dim))
-    for (tme, tmg), (sign, b) in _signed_branching(scheme.F_g,
-                                                   scheme.F_e).items():
+    for (tme, tmg), b in branching_ratios(scheme.F_g,
+                                          scheme.F_e).entries.items():
         w[scheme.index(EXCITED, tme / 2),
-          scheme.index(GROUND, tmg / 2)] = sign * np.sqrt(float(b))
+          scheme.index(GROUND, tmg / 2)] = np.sqrt(float(b))
     w.flags.writeable = False
     return w
 
@@ -163,41 +165,22 @@ def _channel(scheme: LevelScheme, dm: int) -> np.ndarray:
     return w
 
 
-def coupling_weight(scheme: LevelScheme, m_g, m_e, q: int) -> float:
-    """Signed per-transition coupling weight, normalized so weight^2 = b.
-
-    The Rabi frequency of each transition is (reduced Rabi) * weight; the
-    weight is zero unless q = m_g - m_e (see :func:`_weights`).
-    """
-    if m_g - m_e != q:
-        return 0.0
-    return float(_weights(scheme)[scheme.index(EXCITED, m_e),
-                                  scheme.index(GROUND, m_g)])
-
-
-def pump_raising(scheme: LevelScheme, signed: bool = False) -> np.ndarray:
+def pump_raising(scheme: LevelScheme) -> np.ndarray:
     """Raising part of the pi (z-polarized) coupling, unit reduced Rabi.
 
-    By default the couplings are gauge-fixed real positive (|w|); with
-    ``signed=True`` the natural signed weights are kept (used by the
-    gauge-invariance tests).
+    The couplings are gauge-fixed real positive, w = sqrt(b).
     """
-    w = _channel(scheme, 0)
-    return (w if signed else abs(w)).astype(complex)
+    return _channel(scheme, 0).astype(complex)
 
 
-def probe_raising(scheme: LevelScheme, signed: bool = False) -> np.ndarray:
+def probe_raising(scheme: LevelScheme) -> np.ndarray:
     """Raising part of the x-polarized coupling, unit reduced Rabi.
 
     The x probe is the circular superposition (i/sqrt 2)(E_- + E_+); in the
-    default gauge every raising entry is -i |w| / sqrt(2) (the phase pattern
-    of the printed 8-level Hamiltonian).  ``signed=True`` keeps the natural
-    signed weights with a uniform +i/sqrt(2) prefactor instead.
+    printed gauge every raising entry is -i w / sqrt(2) (the phase pattern
+    of the printed 8-level Hamiltonian).
     """
-    w = _channel(scheme, -1) + _channel(scheme, +1)
-    if signed:
-        return 1j * _X_COMPONENT * w
-    return -1j * _X_COMPONENT * abs(w)
+    return -1j * _X_COMPONENT * (_channel(scheme, -1) + _channel(scheme, +1))
 
 
 def pump_coupled_excited(scheme: LevelScheme) -> List[int]:
@@ -205,8 +188,7 @@ def pump_coupled_excited(scheme: LevelScheme) -> List[int]:
     return np.flatnonzero(_channel(scheme, 0).any(axis=1)).tolist()
 
 
-def build_hamiltonian(scheme: LevelScheme, fields: FieldConfig,
-                      signed: bool = False) -> np.ndarray:
+def build_hamiltonian(scheme: LevelScheme, fields: FieldConfig) -> np.ndarray:
     """Rotating-frame field-interaction Hamiltonian, H = (1/2) M in Gamma units.
 
     Diagonal of M: 0 on ground sublevels, 2*delta_pr on excited sublevels
@@ -221,16 +203,16 @@ def build_hamiltonian(scheme: LevelScheme, fields: FieldConfig,
     for e in scheme.excited_indices:
         m[e, e] = (2.0 * (fields.delta_p + fields.delta_pr) if e in pumped
                    else 2.0 * fields.delta_pr)
-    vp = pump_raising(scheme, signed=signed) * fields.omega_p
-    vx = probe_raising(scheme, signed=signed) * fields.omega_pr
+    vp = pump_raising(scheme) * fields.omega_p
+    vx = probe_raising(scheme) * fields.omega_pr
     m += vp + vp.conj().T + vx + vx.conj().T
     h = 0.5 * m
     h.flags.writeable = False
     return h
 
 
-def pump_hamiltonian(scheme: LevelScheme, omega_p: float, delta_p: float,
-                     signed: bool = False) -> np.ndarray:
+def pump_hamiltonian(scheme: LevelScheme, omega_p: float,
+                     delta_p: float) -> np.ndarray:
     """Pump-only Hamiltonian in the frame rotating at the pump frequency.
 
     Every excited sublevel sits at delta_p (matrix diagonal 2*delta_p with the
@@ -242,7 +224,7 @@ def pump_hamiltonian(scheme: LevelScheme, omega_p: float, delta_p: float,
     m = np.zeros((d, d), dtype=complex)
     for e in scheme.excited_indices:
         m[e, e] = 2.0 * delta_p
-    vp = pump_raising(scheme, signed=signed) * omega_p
+    vp = pump_raising(scheme) * omega_p
     m += vp + vp.conj().T
     h = 0.5 * m
     h.flags.writeable = False
@@ -253,10 +235,10 @@ def pump_hamiltonian(scheme: LevelScheme, omega_p: float, delta_p: float,
 def build_collapse(scheme: LevelScheme) -> CollapseChannels:
     """Collapse operators for the Delta m = 0, -1, +1 decay channels.
 
-    Read from the line's weight table, sigma[g, e] = |w[e, g]| = sqrt(b).
+    Read from the line's weight table, sigma[g, e] = w[e, g] = sqrt(b).
     Memoized per line; the returned arrays are read-only."""
     # paper ordering k = 1, 2, 3
-    sigmas = tuple(np.ascontiguousarray(abs(_channel(scheme, dm)).T,
+    sigmas = tuple(np.ascontiguousarray(_channel(scheme, dm).T,
                                         dtype=complex) for dm in (0, -1, +1))
     for s in sigmas:
         s.flags.writeable = False

@@ -3,8 +3,11 @@
 Each oracle is deliberately implemented from a different formulation than the
 library code it checks:
 
-* ``threej_oracle`` uses the v-sum arrangement of the Racah formula (the
-  library uses the k-sum arrangement) with exact Fractions throughout.
+* ``threej_oracle`` is the general 3-j symbol from the v-sum arrangement of
+  the Racah formula with exact Fractions throughout, and
+  ``branching_oracle`` and ``dipole_weight_oracle`` are built on it (the
+  library reads the branching ratios from the closed form of a rank-1
+  coupling, and keeps no signs).
 * ``master_rhs_oracle`` evaluates the master-equation right-hand side with
   naive element-by-element double loops (the library builds a superoperator).
 * ``two_level_*`` are textbook closed forms for a driven two-level atom.

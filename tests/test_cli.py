@@ -308,6 +308,13 @@ INVALID_VALUES = [
     (MINIMAL_POPULATIONS, "saturation = 36", "omega_p = -2", "omega_p"),
     (MINIMAL_POPULATIONS, "t_final = 2", "t_final = -5", "t_final"),
     (MINIMAL_POPULATIONS, "f_excited = 2", "f_excited = 3", "f_excited"),
+    # both integer or both half-integer, never a traceback
+    (MINIMAL_POPULATIONS, "f_ground = 1", "f_ground = 1.5",
+     "F_g=1.5 -> F_e=2.0"),
+    (MINIMAL_POPULATIONS, "f_excited = 2", "f_excited = 1.2",
+     "F_g=1.0 -> F_e=1.2"),
+    # a '%' is a character, not an interpolation
+    (MINIMAL_POPULATIONS, "delta_p = 0", "delta_p = 5%", "delta_p = '5%'"),
     (MINIMAL_PROPAGATE, "length_m = 0.1", "length_m = -0.1", "length_m"),
     (MINIMAL_PROPAGATE, "mode = closed_form",
      "mode = closed_form\ninput_intensity = -5", "input_intensity"),
@@ -393,6 +400,26 @@ def test_non_utf8_config_exits_config_error(tmp_path, capsys):
         == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(path) in err
+
+
+@pytest.mark.parametrize("name", ["out%d.csv", "out.%(format)s"])
+def test_percent_in_output_path_is_literal(tmp_path, name):
+    # no interpolation: the file is written under the name as given
+    from mirrorless.cli import main
+    out = tmp_path / name
+    body = MINIMAL_POPULATIONS + f"\n[output]\nformat = csv\npath = {out}\n"
+    assert main([write_config(tmp_path, body)]) == EXIT_OK
+    assert out.exists()
+
+
+def test_default_section_is_unknown(tmp_path, capsys):
+    # [DEFAULT] is an ordinary section, not merged into the others
+    from mirrorless.cli import main
+    body = "[DEFAULT]\nformat = csv\n" + MINIMAL_POPULATIONS
+    path = write_config(tmp_path, body)
+    assert main([path, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: unknown config keys: [DEFAULT]\n"
 
 
 def test_console_script_installed():
@@ -659,6 +686,35 @@ def test_benchmark_scenarios_parse(tmp_path, monkeypatch):
     for k, s in enumerate(cases):
         path = write_config(tmp_path, s.ini, f"{k}.ini")
         assert parse_config(path).workflow == s.workflow, s.id
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # the benchmark's tracer, loaded read-only, wraps the layer functions of
+    # the loaded program and puts every binding back
+    import mirrorless.cli  # noqa: F401  (the program as the benchmark runs it)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracer)
+    assert [layer for layer in tracer.LAYERS
+            if f"mirrorless.{layer}" not in sys.modules] == []
+    modules = [m for name, m in sys.modules.items()
+               if name.partition(".")[0] == "mirrorless"]
+    before = [(m, dict(vars(m))) for m in modules]
+    levels = sys.modules["mirrorless.levels"]
+    branching, write_csv = levels.branching_ratios, ResultTable.write_csv
+    t = tracer.Tracer("t")
+    t.install()
+    try:
+        # the level layer's one call into angular is traced
+        assert levels.branching_ratios is not branching
+        assert ResultTable.write_csv is not write_csv
+    finally:
+        t.restore()
+    assert ResultTable.write_csv is write_csv
+    assert [(m.__name__, k) for m, names in before for k, v in names.items()
+            if vars(m).get(k) is not v] == []
 
 
 def test_readme_key_table_matches_code():
