@@ -13,10 +13,14 @@ the coherence order q = m_i - m_j, so the pump-only L is block diagonal
 (for 2 -> 3 the largest block is 22 x 22).  The blocks are found from L's
 nonzero pattern (:func:`_blocks`), so no symmetry is assumed: a field that
 mixes q merges them.  Each block is factorized on its own and the results
-are scattered back into the full vector.  Steady states come from one
-singular value decomposition per block (the null singular vectors).  Time
-evolution samples a uniform grid, stepping with one exact propagator
-e^{L dt} (scaling and squaring) of the whole L.
+are scattered back into the full vector.  Steady states come from the
+singular values of every block, one values-only pass per block size, and
+the singular vectors of the blocks that hold the null space.  A scan over
+the pump strength assembles the pump-only L once per line and detuning as
+L = A + omega_p B, cut into its blocks, so each pump strength costs one
+scaled sum per block size before those decompositions.  Time evolution
+samples a uniform grid, stepping with one exact propagator e^{L dt}
+(scaling and squaring) of the whole L.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 
 from .levels import (CollapseChannels, LevelScheme, build_collapse,
-                     pump_hamiltonian)
+                     pump_hamiltonian, pump_raising)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -114,27 +117,60 @@ def build_liouvillian(H: np.ndarray, channels: CollapseChannels) -> Liouvillian:
     return Liouvillian(matrix=L, dim=d)
 
 
+@dataclass(frozen=True)
+class _Partition:
+    """The diagonal blocks of a nonzero pattern (see :func:`_blocks`)."""
+
+    blocks: Tuple[np.ndarray, ...]
+    # per block size, ascending: the numbers of the blocks of that size and
+    # their index sets stacked into one (count, size) array
+    groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    def stacks(self, A: np.ndarray) -> List[np.ndarray]:
+        """A's diagonal blocks, one (count, size, size) stack per group."""
+        return [A[idx[:, :, None], idx[:, None, :]] for _, idx in self.groups]
+
+
 @lru_cache(maxsize=64)
-def _components(n: int, packed: bytes) -> Tuple[np.ndarray, ...]:
+def _components(n: int, packed: bytes) -> _Partition:
     pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
-                            count=n * n).reshape(n, n)
-    count, labels = connected_components(pattern, connection="weak")
-    blocks = tuple(np.flatnonzero(labels == k) for k in range(count))
-    for b in blocks:
-        b.flags.writeable = False
-    return blocks
+                            count=n * n).reshape(n, n).astype(bool)
+    linked = pattern | pattern.T
+    # every index takes the lowest label among its neighbours and then the
+    # label of that label, until no label moves: each block ends labelled
+    # by its lowest index
+    labels = np.arange(n)
+    while True:
+        lower = np.minimum(labels, np.where(linked, labels, n).min(axis=1))
+        if np.array_equal(lower, labels):
+            break
+        labels = lower[lower]
+    blocks = [np.flatnonzero(labels == root) for root in np.unique(labels)]
+    sizes = np.array([len(b) for b in blocks])
+    groups = []
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        groups.append((members, np.array([blocks[k] for k in members])))
+    for a in [*blocks, *(a for g in groups for a in g)]:
+        a.flags.writeable = False
+    return _Partition(blocks=tuple(blocks), groups=tuple(groups))
+
+
+def _partition(A: np.ndarray) -> _Partition:
+    """The diagonal blocks of the square matrix A, memoized on its packed
+    nonzero pattern: a scan over field strengths pays for the search once."""
+    pattern = np.asarray(A) != 0
+    return _components(pattern.shape[0], np.packbits(pattern).tobytes())
 
 
 def _blocks(A: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Index sets of the diagonal blocks of the square matrix A.
 
     They are the connected components of A's nonzero pattern, so
-    A[b, c] = 0 for any two distinct sets b, c, and each set is ascending.
-    Memoized on the packed pattern: a scan over field strengths pays for it
-    once.
+    A[b, c] = 0 for any two distinct sets b, c; each set is ascending, and
+    the sets are ordered by their lowest index.
     """
-    pattern = np.asarray(A) != 0
-    return _components(pattern.shape[0], np.packbits(pattern).tobytes())
+    return _partition(A).blocks
 
 
 def density_matrix_defects(rho: np.ndarray) -> Tuple[float, float, float]:
@@ -204,30 +240,49 @@ def steady_state(L: Liouvillian, mode: str = "unique",
     L is block diagonal (see :func:`_blocks`), so its SVD is the union of
     one SVD per block, each block's singular vectors scattered into the
     full space.  The null space is spanned by the right singular vectors
-    V0 whose singular values fall below 1e-10 of the largest.
+    V0 whose singular values fall below 1e-10 of the largest (the smallest
+    one always counts).  The singular values come from one values-only pass
+    over the blocks, stacked by size; only the blocks that hold a null
+    vector are decomposed in full.
     mode='unique' (default) requires it to be one-dimensional and raises
     :class:`DegenerateSteadyStateError` (carrying the measured dimension)
     otherwise.  mode='project' returns the infinite-time limit reached from
     ``rho0``, P rho0 with the spectral projector P = V0 (U0^H V0)^-1 U0^H
     onto the kernel along the range of L (U0: the left null vectors).
     """
+    partition = _partition(L.matrix)
+    return _block_steady_state(L, partition, partition.stacks(L.matrix),
+                               mode, rho0)
+
+
+def _block_steady_state(L: Liouvillian, partition: _Partition,
+                        stacks: Sequence[np.ndarray], mode: str = "unique",
+                        rho0: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`steady_state` of L, whose diagonal blocks ``partition`` cuts
+    into ``stacks``."""
     d, n = L.dim, L.dim * L.dim
-    # (block, U, s, Vh) with L[b, b] = U diag(s) Vh per diagonal block b
-    parts = [(b, *np.linalg.svd(L.matrix[np.ix_(b, b)]))
-             for b in _blocks(L.matrix)]
-    # (singular value, block, position in the block), ascending
-    ranked = sorted((sv, k, i) for k, p in enumerate(parts)
-                    for i, sv in enumerate(p[2]))
-    scale = ranked[-1][0] or 1.0
-    nullity = max(1, int(sum(sv <= _NULL_REL_TOL * scale
-                             for sv, _, _ in ranked)))
+    svals = [np.linalg.svd(S, compute_uv=False) for S in stacks]
+    scale = max(float(s.max()) for s in svals) or 1.0
+    thresh = max(_NULL_REL_TOL * scale, min(float(s.min()) for s in svals))
+    # (singular value, block, position in the block) of the null space,
+    # ascending, from the full SVD of each block that holds part of it
+    ranked, parts = [], {}
+    for (members, _), S, s in zip(partition.groups, stacks, svals):
+        for j in np.flatnonzero(s[:, -1] <= thresh):
+            k = int(members[j])
+            parts[k] = np.linalg.svd(S[j])
+            size, null = len(s[j]), np.count_nonzero(s[j] <= thresh)
+            ranked += [(parts[k][1][i], k, i)
+                       for i in range(size - null, size)]
+    ranked.sort()
+    nullity = len(ranked)
     if nullity > 1 and mode != "project":
         raise DegenerateSteadyStateError(nullity)
     if nullity > 1 and rho0 is None:
         raise ValueError("mode='project' requires an initial state rho0")
     U0, V0 = np.zeros((2, n, nullity), dtype=complex)
-    for j, (_, k, i) in enumerate(ranked[:nullity]):
-        b, U, _, Vh = parts[k]
+    for j, (_, k, i) in enumerate(ranked):
+        b, (U, _, Vh) = partition.blocks[k], parts[k]
         U0[b, j], V0[b, j] = U[:, i], Vh[i].conj()
     if nullity == 1:
         # the SVD fixes no phase: divide by the complex trace first
@@ -246,12 +301,66 @@ def steady_state(L: Liouvillian, mode: str = "unique",
     return rho
 
 
+@dataclass(frozen=True)
+class _PumpLine:
+    """The pump-only Liouvillian of one line at one pump detuning,
+    L(omega_p) = A + omega_p B.
+
+    A holds the detuning and the decay, B the pi-pump commutator at unit
+    Rabi frequency; no entry is in both.  Both are also kept cut into the
+    diagonal blocks of their joint pattern, stacked per block size as in
+    :meth:`_Partition.stacks`.  Every array is read-only.
+    """
+
+    dim: int
+    A: np.ndarray
+    B: np.ndarray
+    partition: _Partition
+    A_stacks: Tuple[np.ndarray, ...]
+    B_stacks: Tuple[np.ndarray, ...]
+
+    def steady_state(self, omega_p: float
+                     ) -> Tuple[np.ndarray, Liouvillian, List[np.ndarray]]:
+        """rho_ss and L at ``omega_p``, and L's diagonal blocks stacked as
+        in :meth:`_Partition.stacks`, for callers that solve on them."""
+        L = Liouvillian(matrix=self.A + omega_p * self.B, dim=self.dim)
+        stacks = [a + omega_p * b
+                  for a, b in zip(self.A_stacks, self.B_stacks)]
+        return _block_steady_state(L, self.partition, stacks), L, stacks
+
+
+@lru_cache(maxsize=16)
+def _pump_line(scheme: LevelScheme, delta_p: float) -> _PumpLine:
+    """Memoized :class:`_PumpLine`, split from one assembly at omega_p = 1.
+
+    The pump entries -+(i/2) omega_p w of L are products of omega_p with
+    factors that are exact in binary, so omega_p B equals them bit for bit
+    and A + omega_p B is the assembled L itself."""
+    L = build_liouvillian(pump_hamiltonian(scheme, 1.0, delta_p),
+                          build_collapse(scheme)).matrix
+    coupled = pump_raising(scheme) != 0
+    coupled |= coupled.T
+    eye = np.eye(scheme.dim, dtype=bool)
+    pumped = np.kron(coupled, eye) | np.kron(eye, coupled)
+    A, B = np.where(pumped, 0.0, L), np.where(pumped, L, 0.0)
+    partition = _partition(L)
+    line = _PumpLine(dim=scheme.dim, A=A, B=B, partition=partition,
+                     A_stacks=tuple(partition.stacks(A)),
+                     B_stacks=tuple(partition.stacks(B)))
+    for a in (A, B, *line.A_stacks, *line.B_stacks):
+        a.flags.writeable = False
+    return line
+
+
 def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
                            ) -> Tuple[np.ndarray, Liouvillian]:
-    """Steady state of the pump-only system, with its Liouvillian."""
-    H = pump_hamiltonian(scheme, omega_p, delta_p)
-    L = build_liouvillian(H, build_collapse(scheme))
-    return steady_state(L), L
+    """Steady state of the pump-only system, with its Liouvillian.
+
+    The Liouvillian is assembled once per line and detuning (see
+    :class:`_PumpLine`); each pump strength then costs one scaled sum per
+    block size and the SVDs of :func:`steady_state`."""
+    rho, L, _ = _pump_line(scheme, float(delta_p)).steady_state(omega_p)
+    return rho, L
 
 
 # relative accuracy of the bisected inversion threshold S*

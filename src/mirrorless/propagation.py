@@ -20,18 +20,20 @@ self-consistent per-step mode is provided as an opt-in extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy.constants import c as _c
-from scipy.constants import epsilon_0 as _eps0
-from scipy.constants import hbar as _hbar
 
-from .dynamics import (_blocks, pump_only_steady_state, unvectorize,
-                       vectorize)
+from .dynamics import _pump_line, unvectorize, vectorize
 from .levels import (FieldConfig, LevelScheme, build_collapse, probe_raising,
                      pump_raising)
 from .spectra import parallel_dipole, perpendicular_dipole
+
+# CODATA 2022 (SI): c and h are exact, hbar = h / (2 pi) rounded to double
+_c = 299792458.0              # m/s
+_hbar = 1.0545718176461565e-34  # J s
+_eps0 = 8.8541878188e-12      # F/m
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,14 @@ class TransportCoefficients:
 _OMEGA_FLOOR = 1e-3
 
 
+@lru_cache(maxsize=16)
+def _unpumped_peaks(scheme: LevelScheme) -> Tuple[float, float]:
+    """(parallel, perpendicular) ``DipoleOperator.peak_norm`` of one line,
+    memoized."""
+    return (parallel_dipole(scheme).peak_norm(),
+            perpendicular_dipole(scheme).peak_norm())
+
+
 def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
                            cell: CellConfig) -> TransportCoefficients:
     """Absorption and source terms of the medium pumped at ``fields``.
@@ -182,7 +192,9 @@ def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
     at the pump frequency: with V = ``probe_raising(scheme)`` the source
     x = -(i/2) [V + V^+, rho_ss] lies only in L's q = +-1 blocks, where L is
     nonsingular whenever rho_ss is unique, so the first-order state is
-    rho_1 = -L_b^-1 x_b, one solve per block.
+    rho_1 = -L_b^-1 x_b, solved on the memoized blocks of the pump line
+    (see :func:`mirrorless.dynamics.pump_only_steady_state`), one stacked
+    solve per block size.
 
     Below ``_OMEGA_FLOOR`` the medium is unpumped: no sources, and
     alpha = kappa * peak_norm / (1 + 4 Delta_p^2) exactly, since every
@@ -193,18 +205,21 @@ def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
     kappa = cell.absorption_scale
     if fields.omega_p <= _OMEGA_FLOOR:
         lorentzian = kappa / (1.0 + 4.0 * fields.delta_p ** 2)
+        peak_z, peak_x = _unpumped_peaks(scheme)
         return TransportCoefficients(
-            alpha_z=lorentzian * parallel_dipole(scheme).peak_norm(),
-            alpha_x=lorentzian * perpendicular_dipole(scheme).peak_norm(),
+            alpha_z=lorentzian * peak_z, alpha_x=lorentzian * peak_x,
             gamma_z=0.0, gamma_x=0.0, source_z=0.0, source_x=0.0)
-    rho_ss, L = pump_only_steady_state(scheme, fields.omega_p, fields.delta_p)
+    line = _pump_line(scheme, float(fields.delta_p))
+    rho_ss, _, stacks = line.steady_state(fields.omega_p)
     V = probe_raising(scheme)
     mu_x = V + V.conj().T
     x = vectorize(-0.5j * (mu_x @ rho_ss - rho_ss @ mu_x))
     rho_1 = np.zeros_like(x)
-    for b in _blocks(L.matrix):
-        if np.any(x[b]):
-            rho_1[b] = -np.linalg.solve(L.matrix[np.ix_(b, b)], x[b])
+    for (_, idx), S in zip(line.partition.groups, stacks):
+        hit = np.any(x[idx], axis=1)
+        if hit.any():
+            rho_1[idx[hit]] = -np.linalg.solve(S[hit],
+                                               x[idx[hit]][..., None])[..., 0]
     alpha_z = -kappa * _coherence_sum(pump_raising(scheme), rho_ss) \
         / fields.omega_p
     alpha_x = -kappa * _coherence_sum(V, unvectorize(rho_1, scheme.dim))

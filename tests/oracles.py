@@ -19,7 +19,11 @@ library code it checks:
   forms of the library's steady state and regression spectrum: one SVD, and
   one ordered Schur form with one triangular solve per offset, of the whole
   144 x 144 (at most) Liouvillian (the library factorizes its diagonal
-  blocks one by one).
+  blocks one by one).  ``steady_state_blocks_oracle`` decomposes every
+  diagonal block in full, blocks found by scipy's connected components (the
+  library finds them by label propagation, reads the singular values from
+  one values-only pass per block size and decomposes only the blocks that
+  hold the null space).
 * ``weak_probe_oracle`` solves the whole truncated harmonic-balance system,
   every harmonic at once, with the trace condition as a sparse square
   saddle-point system, or bordered by it by dense least squares (the
@@ -41,6 +45,7 @@ from math import factorial, sqrt
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm, schur, solve_triangular
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 
@@ -326,6 +331,33 @@ def steady_state_oracle(L, mode="unique", rho0=None):
                ).reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def steady_state_blocks_oracle(L, mode="unique", rho0=None):
+    """``steady_state_oracle`` from one full SVD per diagonal block of L,
+    the null singular vectors ranked by (value, block, position)."""
+    d = int(round(np.sqrt(L.shape[0])))
+    count, labels = connected_components(L != 0, connection="weak")
+    blocks = [np.flatnonzero(labels == k) for k in range(count)]
+    parts = [np.linalg.svd(L[np.ix_(b, b)]) for b in blocks]
+    ranked = sorted((sv, k, i) for k, (_, s, _) in enumerate(parts)
+                    for i, sv in enumerate(s))
+    nullity = max(1, sum(sv <= 1e-10 * ranked[-1][0] for sv, _, _ in ranked))
+    U0, V0 = np.zeros((2, d * d, nullity), dtype=complex)
+    for j, (_, k, i) in enumerate(ranked[:nullity]):
+        U, _, Vh = parts[k]
+        U0[blocks[k], j], V0[blocks[k], j] = U[:, i], Vh[i].conj()
+    if nullity == 1:
+        rho = V0[:, 0].reshape(d, d)
+        rho = rho / np.trace(rho)
+    else:
+        assert mode == "project", f"null space of dimension {nullity}"
+        U0h = U0.conj().T
+        rho = (V0 @ np.linalg.solve(U0h @ V0, U0h @ rho0.reshape(-1))
+               ).reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    return rho
 
 
 def regression_oracle(L, rho_ss, d_plus, deltas):

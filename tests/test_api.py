@@ -87,6 +87,19 @@ def test_import_pins_blas_threads(user_value, expected):
     assert out.stdout.split() == [expected, "1"]
 
 
+def test_cli_import_leaves_out_sparse_and_constants():
+    # in a fresh process: the block search and the SI constants need
+    # neither scipy.sparse nor scipy.constants
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(mirrorless.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mirrorless.cli; print("
+         "[m for m in ('scipy.sparse', 'scipy.constants') if m in "
+         "sys.modules])"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["[]"]
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 

@@ -3,6 +3,7 @@ and the blocked and sector routes against the full-matrix oracles."""
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from mirrorless import (build_collapse, build_liouvillian, build_scheme,
                         equal_ground_state, pump_only_steady_state,
@@ -60,6 +61,22 @@ def test_blocks_are_coherence_orders(line):
         assert np.array_equal(np.sort(np.concatenate(members)),
                               np.flatnonzero(q == order))
     assert len(_blocks(_liouvillian(scheme, 2.0, 0.5, 0.3).matrix)) == 1
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_blocks_match_connected_components(line):
+    # the same sets in the same order as scipy's weak components, for L and
+    # for the deflated M = L + |rho><1| of the regression spectrum, whose
+    # rank-one term joins every block that holds a population
+    scheme = build_scheme(*line)
+    L = _liouvillian(scheme, 2.0, 0.5).matrix
+    rho = equal_ground_state(scheme).reshape(-1)
+    for A in (L, L + np.outer(rho, np.eye(scheme.dim).reshape(-1))):
+        count, labels = connected_components(A != 0, connection="weak")
+        blocks = _blocks(A)
+        assert len(blocks) == count
+        assert all(np.array_equal(b, np.flatnonzero(labels == k))
+                   for k, b in enumerate(blocks))
 
 
 def test_blocks_memoized_on_pattern(scheme12):

@@ -10,7 +10,9 @@ import pytest
 from mirrorless import (FieldConfig, build_collapse, build_liouvillian,
                         build_scheme, correlation_spectrum, equal_ground_state,
                         parallel_dipole, perpendicular_dipole, propagation,
-                        pump_hamiltonian, pump_only_steady_state)
+                        pump_hamiltonian, pump_only_steady_state,
+                        steady_state)
+from mirrorless.dynamics import _blocks
 from mirrorless.levels import probe_raising, pump_raising
 from mirrorless.propagation import (CellConfig, _closed_form,
                                     _coherence_sum, output_curve, propagate,
@@ -28,6 +30,13 @@ def cell():
     return CellConfig.pencil(length=0.1, density=1.16e16,
                              gamma_phys=2 * np.pi * 5.6e6,
                              wavelength=780.241e-9, beam_radius=1e-3)
+
+
+def test_codata_constants_match_scipy():
+    from scipy import constants
+    assert propagation._c == constants.c
+    assert propagation._hbar == constants.hbar
+    assert propagation._eps0 == constants.epsilon_0
 
 
 def test_cell_validation():
@@ -233,6 +242,28 @@ def test_alpha_x_matches_weak_probe_at_zero_offset(line, cell):
         for value in (g[[0, 2]].mean(), g[1]):
             assert alpha_x * scheme.F_e / cell.absorption_scale \
                 == pytest.approx(value, rel=1e-6)
+
+
+@pytest.mark.parametrize("omega_p", [1.1e-3, 0.4, 3.0])
+@pytest.mark.parametrize("line", [(1, 2), (2, 3), (1, 1)])
+def test_alpha_x_on_memo_blocks_equals_assembled_route(line, omega_p, cell):
+    # the first-order state solved on the memoized blocks, stacked by size,
+    # is the one solved block by block on the assembled L
+    scheme = build_scheme(*line)
+    L = build_liouvillian(pump_hamiltonian(scheme, omega_p, 0.75),
+                          build_collapse(scheme))
+    rho = steady_state(L)
+    V = probe_raising(scheme)
+    x = (-0.5j * ((V + V.conj().T) @ rho - rho @ (V + V.conj().T))).ravel()
+    rho_1 = np.zeros_like(x)
+    for b in _blocks(L.matrix):
+        if np.any(x[b]):
+            rho_1[b] = -np.linalg.solve(L.matrix[np.ix_(b, b)], x[b])
+    expected = -cell.absorption_scale * _coherence_sum(
+        V, rho_1.reshape(scheme.dim, scheme.dim))
+    assert transport_coefficients(
+        scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0, delta_p=0.75,
+                            delta_pr=0.75), cell).alpha_x == expected
 
 
 def test_alpha_x_well_conditioned_near_floor(scheme8, cell):

@@ -1,0 +1,111 @@
+"""The memoized pump-only Liouvillian L(omega_p) = A + omega_p B of one line
+and detuning, and the block steady state it shares with ``steady_state``:
+bit for bit the assembled operator and the per-block route."""
+
+import numpy as np
+import pytest
+
+from mirrorless import (DegenerateSteadyStateError, build_collapse,
+                        build_liouvillian, build_scheme, equal_ground_state,
+                        pump_hamiltonian, pump_only_steady_state,
+                        steady_state)
+from mirrorless.dynamics import _components, _pump_line
+
+from conftest import random_density_matrix
+from oracles import steady_state_blocks_oracle
+from test_blocks import BRIGHT, LINES
+
+DARK = [line for line in LINES if line not in BRIGHT]
+# 1.1e-3: just above propagation._OMEGA_FLOOR, where the spectral gap of L
+# is smallest among the pump strengths the program solves
+OMEGAS = [1.1e-3, 0.3, 2.0, 6.0]
+DELTAS = [0.0, 0.741, 1.75]
+
+
+def _assembled(scheme, omega_p, delta_p):
+    return build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
+                             build_collapse(scheme))
+
+
+def _dimension(solve):
+    with pytest.raises(DegenerateSteadyStateError) as info:
+        solve()
+    return info.value.dimension
+
+
+@pytest.mark.parametrize("delta_p", DELTAS)
+@pytest.mark.parametrize("omega_p", OMEGAS)
+@pytest.mark.parametrize("line", BRIGHT)
+def test_memo_equals_assembly(line, omega_p, delta_p):
+    scheme = build_scheme(*line)
+    L = _assembled(scheme, omega_p, delta_p)
+    rho, L_memo = pump_only_steady_state(scheme, omega_p, delta_p)
+    assert L_memo.dim == L.dim
+    assert np.array_equal(L_memo.matrix, L.matrix)
+    assert np.array_equal(rho, steady_state(L))
+
+
+@pytest.mark.parametrize("delta_p", DELTAS)
+@pytest.mark.parametrize("omega_p", OMEGAS)
+@pytest.mark.parametrize("line", BRIGHT)
+def test_blocked_state_equals_per_block_route(line, omega_p, delta_p):
+    # the values-only pass picks the same null vector as decomposing every
+    # block in full
+    L = _assembled(build_scheme(*line), omega_p, delta_p)
+    assert np.array_equal(steady_state(L),
+                          steady_state_blocks_oracle(L.matrix))
+
+
+@pytest.mark.parametrize("delta_p", DELTAS)
+@pytest.mark.parametrize("omega_p", OMEGAS)
+@pytest.mark.parametrize("line", DARK)
+def test_dark_line_dimension(line, omega_p, delta_p):
+    scheme = build_scheme(*line)
+    L = _assembled(scheme, omega_p, delta_p)
+    line = _pump_line(scheme, delta_p)
+    assert np.array_equal(line.A + omega_p * line.B, L.matrix)
+    memo = _dimension(lambda: pump_only_steady_state(scheme, omega_p,
+                                                     delta_p))
+    assert memo == _dimension(lambda: steady_state(L)) > 1
+
+
+# pumped dark lines, and undriven lines, where every ground distribution
+# is stationary
+PROJECTED = [(line, omega_p) for line in DARK for omega_p in (0.3, 2.0)] \
+    + [(line, 0.0) for line in LINES]
+
+
+@pytest.mark.parametrize("line, omega_p", PROJECTED)
+def test_projection_unchanged(line, omega_p, rng):
+    scheme = build_scheme(*line)
+    L = _assembled(scheme, omega_p, 0.741)
+    for rho0 in (equal_ground_state(scheme),
+                 random_density_matrix(rng, scheme.dim)):
+        assert np.array_equal(
+            steady_state(L, mode="project", rho0=rho0),
+            steady_state_blocks_oracle(L.matrix, "project", rho0))
+
+
+def test_memo_read_only_and_bounded(scheme8):
+    line = _pump_line(scheme8, 0.5)
+    arrays = [line.A, line.B, *line.A_stacks, *line.B_stacks,
+              *line.partition.blocks,
+              *(a for group in line.partition.groups for a in group)]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        line.A[0, 0] = 1.0
+    assert sorted(len(b) for b in line.partition.blocks) \
+        == [1, 1, 2, 2, 2, 2, 8, 8, 12, 12, 14]
+    # a scan over many detunings keeps at most maxsize operators
+    for delta_p in np.linspace(0.0, 3.0, 40):
+        pump_only_steady_state(scheme8, 1.0, delta_p)
+    for memo in (_pump_line, _components):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert _pump_line.cache_info().maxsize <= 16
+
+
+def test_memo_keyed_on_line_and_detuning(scheme8, scheme12):
+    assert _pump_line(scheme8, 0.5) is _pump_line(scheme8, 0.5)
+    assert _pump_line(scheme8, 0.5) is not _pump_line(scheme8, 0.75)
+    assert _pump_line(scheme12, 0.5).dim == 12
