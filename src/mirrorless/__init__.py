@@ -20,32 +20,30 @@ from .dynamics import (DegenerateSteadyStateError, Evolution, InversionScan,
                        Liouvillian, SaturationPoint, build_liouvillian,
                        equal_ground_state, evolve, inversion_scan,
                        omega_from_saturation, pump_only_steady_state,
-                       saturation_parameter, steady_state)
+                       steady_state)
 from .levels import (CollapseChannels, FieldConfig, LevelScheme,
-                     build_collapse, build_hamiltonian, build_scheme,
-                     probe_raising, pump_hamiltonian, pump_raising)
+                     build_collapse, build_scheme, probe_raising,
+                     pump_hamiltonian, pump_raising)
 from .propagation import (CellConfig, PropagationProfile, output_curve,
                           propagate, spontaneous_sources,
                           transport_coefficients)
-from .spectra import (CorrelationWindowError, DipoleOperator, DressedLadder,
+from .spectra import (CorrelationWindowError, DipoleOperator,
                       PerpendicularGain, SpectrumResult, correlation_spectrum,
-                      dressed_ladder, min_absorption_scan, parallel_dipole,
+                      min_absorption_scan, parallel_dipole,
                       perpendicular_dipole, perpendicular_gain_spectrum,
                       resolvent_spectrum, weak_probe_absorption)
 
 __all__ = [
     "BranchingTable", "branching_ratios",
     "CollapseChannels", "FieldConfig", "LevelScheme", "build_collapse",
-    "build_hamiltonian", "build_scheme", "probe_raising", "pump_hamiltonian",
-    "pump_raising",
+    "build_scheme", "probe_raising", "pump_hamiltonian", "pump_raising",
     "DegenerateSteadyStateError", "Evolution", "InversionScan", "Liouvillian",
     "SaturationPoint", "build_liouvillian", "equal_ground_state", "evolve",
     "inversion_scan", "omega_from_saturation", "pump_only_steady_state",
-    "saturation_parameter", "steady_state",
-    "CorrelationWindowError", "DipoleOperator", "DressedLadder",
-    "PerpendicularGain", "SpectrumResult", "correlation_spectrum",
-    "dressed_ladder", "min_absorption_scan", "parallel_dipole",
-    "perpendicular_dipole", "perpendicular_gain_spectrum",
+    "steady_state",
+    "CorrelationWindowError", "DipoleOperator", "PerpendicularGain",
+    "SpectrumResult", "correlation_spectrum", "min_absorption_scan",
+    "parallel_dipole", "perpendicular_dipole", "perpendicular_gain_spectrum",
     "resolvent_spectrum", "weak_probe_absorption",
     "CellConfig", "PropagationProfile", "output_curve", "propagate",
     "spontaneous_sources", "transport_coefficients",

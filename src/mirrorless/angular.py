@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 
-def _twice(x, name: str = "angular momentum") -> int:
+def _twice(x, name: str) -> int:
     """Return 2*x as an exact integer, rejecting non-half-integer input."""
     t = 2 * Fraction(x)
     if t.denominator != 1:
@@ -38,13 +38,6 @@ class BranchingTable:
     F_g: float
     F_e: float
     entries: Dict[Tuple[int, int], Fraction]
-
-    def value(self, m_e, m_g) -> Fraction:
-        return self.entries.get((_twice(m_e, "m_e"), _twice(m_g, "m_g")), Fraction(0))
-
-    def row_sum(self, m_e) -> Fraction:
-        tme = _twice(m_e, "m_e")
-        return sum((b for (te, _), b in self.entries.items() if te == tme), Fraction(0))
 
 
 # <j M-mu; 1 mu|j+dj M>^2 keyed by (dj, mu), M the excited projection

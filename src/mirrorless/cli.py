@@ -33,14 +33,12 @@ from . import __version__
 from .dynamics import (DegenerateSteadyStateError, build_liouvillian,
                        equal_ground_state, evolve, inversion_pair,
                        inversion_scan, omega_from_saturation,
-                       pump_only_steady_state, steady_state)
+                       pump_only_steady_state)
 from .levels import (FieldConfig, LevelScheme, build_collapse, build_scheme,
-                     probe_raising, pump_hamiltonian, two_level_collapse,
-                     two_level_hamiltonian)
+                     probe_raising, pump_hamiltonian)
 from .propagation import CellConfig, output_curve, propagate
 from .spectra import (correlation_spectrum, min_absorption_scan,
-                      parallel_dipole, perpendicular_gain_spectrum,
-                      two_level_dipole)
+                      parallel_dipole, perpendicular_gain_spectrum)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -309,9 +307,15 @@ def parse_config(path: str) -> ScenarioConfig:
     if given("fields", "delta_pr") and given("fields", "offset"):
         raise ConfigError("[fields] delta_pr and offset are both given: "
                           "offset = delta_pr - delta_p is derived")
-    two_level = config.get("two_level", False)
-    required = [] if two_level else [("transition", "f_ground"),
-                                     ("transition", "f_excited")]
+    if config.get("two_level", False):
+        line = [k for k in ("f_ground", "f_excited") if k in config]
+        if line:
+            raise ConfigError(f"[transition] two_level and {', '.join(line)} "
+                              f"are both given: two_level = true is the "
+                              f"F_g = 0 -> F_e = 1 line")
+        config.update(f_ground=0.0, f_excited=1.0)
+    required = [("transition", k) for k in ("f_ground", "f_excited")
+                if k not in config]
     # the workflow's own grid and any grid the file begins need all three
     grids = [WORKFLOWS[workflow]] + [n[:-len("_grid")] for n in parts
                                      if n.endswith("_grid")]
@@ -322,13 +326,12 @@ def parse_config(path: str) -> ScenarioConfig:
     missing = [f"[{s}] {k}" for s, k in required if not given(s, k)]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    if not two_level:
-        try:
-            build_scheme(config["f_ground"], config["f_excited"])
-        except ValueError as exc:
-            raise ConfigError(f"[transition] f_ground = "
-                              f"{config['f_ground']:g}, f_excited = "
-                              f"{config['f_excited']:g}: {exc}") from exc
+    try:
+        build_scheme(config["f_ground"], config["f_excited"])
+    except ValueError as exc:
+        raise ConfigError(f"[transition] f_ground = "
+                          f"{config['f_ground']:g}, f_excited = "
+                          f"{config['f_excited']:g}: {exc}") from exc
     pump = [f"[fields] {k}" for k in ("omega_p", "saturation")
             if given("fields", k)]
     if given("scan", "input_intensity") and pump:
@@ -359,8 +362,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("workflow 'propagate' needs [scan] input_intensity "
                           "or [fields] omega_p")
     if cfg.two_level and cfg.probe_polarization != "parallel":
-        raise ConfigError("the two-level reference atom has no orthogonal "
-                          "polarization; set probe_polarization = parallel")
+        raise ConfigError("two_level = true is the 0 -> 1 line probed along "
+                          "the pump; set probe_polarization = parallel")
     if cfg.self_consistent and cfg.mode != "numeric":
         raise ConfigError("[scan] self_consistent = true requires "
                           "mode = numeric")
@@ -435,13 +438,6 @@ def _run_inversion_scan(cfg: ScenarioConfig) -> ResultTable:
 
 def _run_spectrum(cfg: ScenarioConfig) -> ResultTable:
     delta_grid = cfg.delta_grid
-    if cfg.two_level:
-        H = two_level_hamiltonian(cfg.omega_p, cfg.delta_p)
-        L = build_liouvillian(H, two_level_collapse())
-        rho = steady_state(L)
-        spec = correlation_spectrum(L, rho, two_level_dipole(), delta_grid)
-        return ResultTable(columns=[("delta", "Gamma"), ("absorption", "arb")],
-                           rows=np.column_stack([spec.delta, spec.absorption]))
     scheme = cfg.scheme()
     if cfg.probe_polarization == "parallel":
         rho, L = pump_only_steady_state(scheme, cfg.omega_p, cfg.delta_p)

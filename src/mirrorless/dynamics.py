@@ -77,13 +77,9 @@ class InversionScan:
     s_star: Optional[float]  # threshold where rho(m_e=0) crosses rho(|m_g|=1)
 
 
-def saturation_parameter(omega_p: float, delta_p: float) -> float:
-    """S = omega_p^2 / (Gamma^2/4 + delta_p^2)."""
-    return omega_p ** 2 / (0.25 + delta_p ** 2)
-
-
 def omega_from_saturation(S: float, delta_p: float) -> float:
-    """Inverse of :func:`saturation_parameter` at fixed detuning."""
+    """omega_p of the saturation parameter S = omega_p^2 / (Gamma^2/4 +
+    delta_p^2) at fixed detuning."""
     if S < 0:
         raise ValueError("saturation parameter must be nonnegative")
     return np.sqrt(S * (0.25 + delta_p ** 2))
@@ -173,14 +169,6 @@ def _blocks(A: np.ndarray) -> Tuple[np.ndarray, ...]:
     return _partition(A).blocks
 
 
-def density_matrix_defects(rho: np.ndarray) -> Tuple[float, float, float]:
-    """(hermiticity defect, trace defect, most negative eigenvalue)."""
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    tr = float(abs(np.trace(rho) - 1.0))
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    return herm, tr, float(w[0])
-
-
 def equal_ground_state(scheme: LevelScheme) -> np.ndarray:
     """Population distributed equally over the ground sublevels (default rho0)."""
     rho = np.zeros((scheme.dim, scheme.dim), dtype=complex)
@@ -196,9 +184,6 @@ class Evolution:
 
     times: np.ndarray
     states: np.ndarray  # (n_times, d, d)
-
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
@@ -255,15 +240,30 @@ def steady_state(L: Liouvillian, mode: str = "unique",
                                mode, rho0)
 
 
+def _null_values(stacks: Sequence[np.ndarray]
+                 ) -> Tuple[List[np.ndarray], float]:
+    """The singular values of each stack of blocks, one values-only pass per
+    stack, and the bound at or below which they span the null space: 1e-10
+    of the largest, and the smallest one always counts."""
+    svals = [np.linalg.svd(S, compute_uv=False) for S in stacks]
+    scale = max(float(s.max()) for s in svals) or 1.0
+    floor = min(float(s.min()) for s in svals)
+    return svals, max(_NULL_REL_TOL * scale, floor)
+
+
+def _nullity(L: Liouvillian) -> int:
+    """Dimension of L's null space, by the rule of :func:`steady_state`."""
+    svals, thresh = _null_values(_partition(L.matrix).stacks(L.matrix))
+    return sum(int(np.count_nonzero(s <= thresh)) for s in svals)
+
+
 def _block_steady_state(L: Liouvillian, partition: _Partition,
                         stacks: Sequence[np.ndarray], mode: str = "unique",
                         rho0: Optional[np.ndarray] = None) -> np.ndarray:
     """:func:`steady_state` of L, whose diagonal blocks ``partition`` cuts
     into ``stacks``."""
     d, n = L.dim, L.dim * L.dim
-    svals = [np.linalg.svd(S, compute_uv=False) for S in stacks]
-    scale = max(float(s.max()) for s in svals) or 1.0
-    thresh = max(_NULL_REL_TOL * scale, min(float(s.min()) for s in svals))
+    svals, thresh = _null_values(stacks)
     # (singular value, block, position in the block) of the null space,
     # ascending, from the full SVD of each block that holds part of it
     ranked, parts = [], {}

@@ -1,4 +1,4 @@
-"""Level schemes, field couplings, Hamiltonians and collapse operators.
+"""Level schemes, field couplings, the pump Hamiltonian and collapse operators.
 
 Models one F_g -> F_e hyperfine line with full Zeeman degeneracy, driven by a
 z-polarized pump (Delta m = 0) and an x-polarized probe (Delta m = +-1).  The
@@ -9,7 +9,9 @@ observables do not depend on this gauge, except on the half-integer F -> F
 lines from F = 3/2 up, whose perpendicular spectra need the signs of the
 Clebsch-Gordan coefficients that w = sqrt(b) drops.  One table of branching
 ratios per line feeds the pump and probe couplings and the three decay
-channels, so the Rabi weights and the branching ratios agree (b = w^2).
+channels, so the Rabi weights and the branching ratios agree (b = w^2).  The
+driven two-level atom is the 0 -> 1 line: its pi pair is the only one the
+pump reaches, with w = 1, and the excited m = +-1 stay empty.
 
 All frequencies are in units of the excited-state decay rate Gamma and times
 in 1/Gamma; physical units enter only in the propagation layer.
@@ -67,16 +69,6 @@ class LevelScheme:
     def m_of(self, i: int) -> float:
         return self.sublevels[i][1]
 
-    def is_excited(self, i: int) -> bool:
-        return self.sublevels[i][0] == EXCITED
-
-    def mirror_permutation(self) -> np.ndarray:
-        """Index permutation implementing the m -> -m reflection."""
-        perm = np.empty(self.dim, dtype=int)
-        for i, (man, m) in enumerate(self.sublevels):
-            perm[i] = self.index_map[(man, -m)]
-        return perm
-
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -111,13 +103,6 @@ class CollapseChannels:
     """
 
     sigmas: Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def total_decay_diagonal(self) -> np.ndarray:
-        d = self.sigmas[0].shape[0]
-        acc = np.zeros((d, d), dtype=complex)
-        for s in self.sigmas:
-            acc += s.conj().T @ s
-        return np.real(np.diag(acc))
 
 
 def build_scheme(F_g, F_e) -> LevelScheme:
@@ -183,34 +168,6 @@ def probe_raising(scheme: LevelScheme) -> np.ndarray:
     return -1j * _X_COMPONENT * (_channel(scheme, -1) + _channel(scheme, +1))
 
 
-def pump_coupled_excited(scheme: LevelScheme) -> List[int]:
-    """Excited indices with a nonzero pi coupling to the ground manifold."""
-    return np.flatnonzero(_channel(scheme, 0).any(axis=1)).tolist()
-
-
-def build_hamiltonian(scheme: LevelScheme, fields: FieldConfig) -> np.ndarray:
-    """Rotating-frame field-interaction Hamiltonian, H = (1/2) M in Gamma units.
-
-    Diagonal of M: 0 on ground sublevels, 2*delta_pr on excited sublevels
-    coupled only by the probe, 2*(delta_p + delta_pr) on pump-coupled excited
-    sublevels.  Off-diagonal: pump couplings omega_p * w on Delta m = 0 pairs,
-    probe couplings -+ i omega_pr * w / sqrt(2) on Delta m = +-1 pairs.
-    Hermitian by construction.
-    """
-    d = scheme.dim
-    m = np.zeros((d, d), dtype=complex)
-    pumped = set(pump_coupled_excited(scheme))
-    for e in scheme.excited_indices:
-        m[e, e] = (2.0 * (fields.delta_p + fields.delta_pr) if e in pumped
-                   else 2.0 * fields.delta_pr)
-    vp = pump_raising(scheme) * fields.omega_p
-    vx = probe_raising(scheme) * fields.omega_pr
-    m += vp + vp.conj().T + vx + vx.conj().T
-    h = 0.5 * m
-    h.flags.writeable = False
-    return h
-
-
 def pump_hamiltonian(scheme: LevelScheme, omega_p: float,
                      delta_p: float) -> np.ndarray:
     """Pump-only Hamiltonian in the frame rotating at the pump frequency.
@@ -244,31 +201,3 @@ def build_collapse(scheme: LevelScheme) -> CollapseChannels:
         s.flags.writeable = False
     return CollapseChannels(sigmas=sigmas)
 
-
-def two_level_hamiltonian(omega: float, delta: float) -> np.ndarray:
-    """Driven nondegenerate two-level atom, basis (excited, ground).
-
-    H = (1/2) [[2*delta, omega], [omega, 0]]; the bare-Rabi reference system
-    used for Mollow-spectrum placement and as a closed-form oracle target.
-    """
-    h = 0.5 * np.array([[2.0 * delta, omega], [omega, 0.0]], dtype=complex)
-    h.flags.writeable = False
-    return h
-
-
-def two_level_collapse() -> CollapseChannels:
-    """Single decay channel of the two-level reference atom."""
-    d = np.zeros((2, 2), dtype=complex)
-    s = d.copy()
-    s[1, 0] = 1.0
-    s.flags.writeable = False
-    d.flags.writeable = False
-    return CollapseChannels(sigmas=(s, d, d))
-
-
-def two_level_dipole_raising() -> np.ndarray:
-    """Unit raising operator |e><g| of the two-level reference atom."""
-    o = np.zeros((2, 2), dtype=complex)
-    o[0, 1] = 1.0
-    o.flags.writeable = False
-    return o

@@ -20,35 +20,35 @@ the driving frame) and normalized so the undriven absorption Lorentzian
 peaks at 1.  Positive values mean attenuation; negative values mean probe
 gain.
 
-Two independent routes to the same response are provided for
-cross-validation: a resolvent (Lorentzian-sum) evaluation over the
-eigenmodes of L, the tests' reference, and an explicit weak-probe
-calculation that solves the driven system including the probe at finite
-Rabi frequency and reads the absorption off the probe-synchronous
-coherences, as in the propagation-coefficient analysis.  Its harmonic
-balance in the offset frequency is block tridiagonal; the sidebands are
-eliminated by a matrix continued fraction (Risken, The Fokker-Planck
-Equation, ch. 9), the negative ones by the symmetry rho_{-m} = rho_m^H,
+Two more routes to the same response serve as cross-checks.  An eigenmode
+resolvent (a sum of Lorentzians) is the reference of the benchmark and of
+the tests; the program does not call it.  The explicit weak probe, whose
+column the program writes beside every perpendicular regression spectrum,
+solves the driven system including the probe at finite Rabi frequency and
+reads the absorption off the probe-synchronous coherences, as in the
+propagation-coefficient analysis.  Its harmonic balance in the offset
+frequency is block tridiagonal; the sidebands are eliminated by a matrix
+continued fraction (Risken, The Fokker-Planck Equation, ch. 9), the
+negative ones by the symmetry rho_{-m} = rho_m^H,
 leaving one square system for the mean state in which the trace condition
 replaces a population row.  The probe moves the coherence order by +-1, so
 harmonic rho_m has q = m (mod 2) and every solve of the elimination runs on
 one parity sector of about d^2 / 2 indices (72 of 144 on the 2 -> 3 line),
-read off the sublevels' m.  All three routes take the operating point their
-caller built and return the spectrum in units of the undriven peak.
+read off the sublevels' m.  Every route takes the operating point its
+caller built and returns the spectrum in units of the undriven peak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import schur
 
-from .dynamics import (Liouvillian, _blocks, build_liouvillian,
-                       pump_only_steady_state, steady_state, vectorize)
-from .levels import (LevelScheme, build_collapse, probe_raising,
-                     pump_hamiltonian, pump_raising, two_level_dipole_raising)
+from .dynamics import (DegenerateSteadyStateError, Liouvillian, _blocks,
+                       _nullity, pump_only_steady_state, vectorize)
+from .levels import LevelScheme, probe_raising, pump_raising
 
 
 class CorrelationWindowError(RuntimeError):
@@ -93,11 +93,6 @@ def perpendicular_dipole(scheme: LevelScheme) -> DipoleOperator:
     return DipoleOperator(d_plus=probe_raising(scheme),
                           polarization="perpendicular",
                           n_ground=len(scheme.ground_indices))
-
-
-def two_level_dipole() -> DipoleOperator:
-    return DipoleOperator(d_plus=two_level_dipole_raising(),
-                          polarization="parallel", n_ground=1)
 
 
 @dataclass(frozen=True)
@@ -229,17 +224,18 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
                           n_harmonics: int = 2) -> SpectrumResult:
     """Explicit weak-probe absorption of the pump steady state of L.
 
-    L is the pump Liouvillian of :func:`pump_only_steady_state`, whose SVD
-    has found its steady state unique (on a dark line, null space of
-    dimension > 1, it raises :class:`DegenerateSteadyStateError`).  The
-    probe enters the pump-frame master equation at finite Rabi frequency
-    omega_pr through its +-i-phased couplings oscillating at the offset
-    delta; the periodic steady state is solved by harmonic balance truncated
-    at ``n_harmonics`` sidebands (nonperturbative in omega_pr up to that
-    order).  The absorption is the coherence sum of the propagation analysis,
-    i.e. the probe-synchronous part of sum_excited i [mu_x, rho]_ii, scaled
-    per unit probe intensity so it is directly comparable with the
-    regression-theorem spectrum.
+    L is a pump Liouvillian with a unique steady state, as
+    :func:`pump_only_steady_state` returns it.  Once per call its null space
+    is measured by the rule of :func:`steady_state`; a dimension above 1 (an
+    undriven line, or a dark one) raises :class:`DegenerateSteadyStateError`
+    carrying it.  The probe enters the pump-frame master equation at finite
+    Rabi frequency omega_pr through its +-i-phased couplings oscillating at
+    the offset delta; the periodic steady state is solved by harmonic
+    balance truncated at ``n_harmonics`` sidebands (nonperturbative in
+    omega_pr up to that order).  The absorption is the coherence sum of the
+    propagation analysis, i.e. the probe-synchronous part of sum_excited
+    i [mu_x, rho]_ii, scaled per unit probe intensity so it is directly
+    comparable with the regression-theorem spectrum.
 
     With rho(t) = sum_m rho_m e^{i m delta t} and L_+- = -i/2 [V_+-, .] the
     probe parts at e^{+-i delta t}, harmonic m obeys (i m delta - L0) rho_m
@@ -256,13 +252,16 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
 
     An offset |delta| < 1e-6 is evaluated as the mean over delta = +-1e-6,
     which cancels the spectrum's slope there: the exactly degenerate static
-    problem (see :func:`degenerate_probe_steady_state`) additionally folds
+    problem (pump and probe static in one rotating frame) additionally folds
     in the coherent four-wave-mixing partner of the probe and is a different
     observable.
     """
     if omega_pr <= 0 or n_harmonics < 1:
         raise ValueError("explicit weak-probe route requires omega_pr > 0 "
                          "and n_harmonics >= 1")
+    nullity = _nullity(L)
+    if nullity > 1:
+        raise DegenerateSteadyStateError(nullity)
     delta_grid = np.asarray(delta_grid, dtype=float)
     d, L0 = scheme.dim, L.matrix
     # sector[p]: the indices of harmonics m = p (mod 2), those of coherence
@@ -313,27 +312,6 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     return SpectrumResult(delta=delta_grid, absorption=absorption)
 
 
-def degenerate_probe_steady_state(scheme: LevelScheme, fields) -> np.ndarray:
-    """Static steady state with pump and an exactly degenerate weak x probe.
-
-    Valid when delta = omega_p - omega_pr = 0, where the single rotating
-    frame at the common field frequency is consistent and the Hamiltonian is
-    time independent: all excited sublevels at delta_p, pump plus probe
-    couplings static.  Its probe coherences (rho12, rho34, rho56 in the
-    8-level numbering), divided by omega_pr, approach the absorption
-    coefficient of light generated at the pump frequency as omega_pr -> 0.
-    The program takes that limit exactly
-    (:func:`mirrorless.propagation.transport_coefficients`) and does not
-    call this function: it is the tests' finite-probe reference.
-    """
-    if abs(fields.delta) > 1e-12:
-        raise ValueError("degenerate-probe steady state requires delta = 0")
-    Vx = probe_raising(scheme) * fields.omega_pr
-    H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p) \
-        + 0.5 * (Vx + Vx.conj().T)
-    return steady_state(build_liouvillian(H, build_collapse(scheme)))
-
-
 @dataclass(frozen=True)
 class PerpendicularGain:
     """Perpendicular-probe absorption computed by two independent routes."""
@@ -375,21 +353,6 @@ class MinAbsorptionPoint:
 class MinAbsorptionScan:
     delta_p: float
     points: List[MinAbsorptionPoint]
-
-    def gain_intervals(self) -> List[Tuple[float, float]]:
-        """Contiguous omega_p ranges whose spectral minimum is negative."""
-        out: List[Tuple[float, float]] = []
-        start = None
-        for p in self.points:
-            if p.min_absorption < 0.0 and start is None:
-                start = p.omega_p
-            elif p.min_absorption >= 0.0 and start is not None:
-                out.append((start, prev))
-                start = None
-            prev = p.omega_p
-        if start is not None:
-            out.append((start, prev))
-        return out
 
 
 # points of the local offset grid refining the coarse spectral minimum
@@ -442,63 +405,3 @@ def min_absorption_scan(scheme: LevelScheme, delta_p: float,
                                          min_absorption=mn, delta_at_min=at))
     return MinAbsorptionScan(delta_p=delta_p, points=points)
 
-
-@dataclass(frozen=True)
-class PiPair:
-    """One pump-coupled two-level pair and its dressed sideband prediction."""
-
-    m: float
-    rabi: float
-    detuning: float
-    sideband: float  # generalized Rabi sqrt(rabi^2 + detuning^2)
-
-
-@dataclass(frozen=True)
-class DressedLadder:
-    """Eigenstructure of the pump-dressed Hamiltonian."""
-
-    eigenvalues: np.ndarray
-    pairs: List[PiPair]
-
-    def sideband_offsets(self) -> List[float]:
-        """Predicted Mollow sideband offsets, both signs, in Gamma units."""
-        out: List[float] = []
-        for p in self.pairs:
-            out.extend((-p.sideband, p.sideband))
-        return sorted(set(out))
-
-    @staticmethod
-    def three_photon_partner(delta_absorption: float) -> float:
-        """Offset of the gain sideband paired with an absorption feature.
-
-        From omega_G = 2 omega_p - omega_A: in offset coordinates
-        delta_G = -delta_A.
-        """
-        return -delta_absorption
-
-
-def dressed_ladder(H_pump_only: np.ndarray,
-                   scheme: Optional[LevelScheme] = None) -> DressedLadder:
-    """Dressed eigenvalues and per-pair Mollow sideband predictions.
-
-    Each pi-coupled (ground, excited) pair is an independent two-level block
-    of the pump-only Hamiltonian; its sidebands sit at +- sqrt(Omega_ij^2 +
-    Delta_p^2) where Omega_ij = 2 |H[e, g]| and Delta_p = H[e,e] - H[g,g].
-    """
-    H = np.asarray(H_pump_only)
-    vals = np.linalg.eigvalsh(H)
-    pairs: List[PiPair] = []
-    d = H.shape[0]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(H[i, j]) > 0:
-                rabi = 2.0 * abs(H[i, j])
-                if scheme is not None and scheme.is_excited(j):
-                    e, g = j, i
-                else:
-                    e, g = i, j  # two-level convention: (excited, ground)
-                det = float(np.real(H[e, e] - H[g, g]))
-                m = scheme.m_of(e) if scheme is not None else 0.0
-                pairs.append(PiPair(m=m, rabi=rabi, detuning=det,
-                                    sideband=float(np.hypot(rabi, det))))
-    return DressedLadder(eigenvalues=vals, pairs=pairs)

@@ -10,7 +10,21 @@ library code it checks:
   coupling, and keeps no signs).
 * ``master_rhs_oracle`` evaluates the master-equation right-hand side with
   naive element-by-element double loops (the library builds a superoperator).
-* ``two_level_*`` are textbook closed forms for a driven two-level atom.
+* ``two_level_excited_population`` and ``two_level_absorption`` are
+  textbook closed forms for a driven two-level atom, and
+  ``two_level_hamiltonian``, ``two_level_collapse`` and ``two_level_dipole``
+  build that atom by hand as a 2 x 2 system (the program runs it as the
+  0 -> 1 line).
+* ``build_hamiltonian`` is the full rotating-frame Hamiltonian with pump and
+  probe, written out from the printed matrix (the program assembles the
+  pump-only one); ``mirror_permutation`` is the m -> -m reflection of a
+  scheme's sublevels.
+* ``degenerate_probe_steady_state`` is the static steady state with an
+  exactly degenerate probe at finite Rabi frequency (the program takes the
+  probe's alpha_x as its exact omega_pr -> 0 linear response).
+* ``density_matrix_defects`` and ``saturation_parameter`` are the
+  invariants of a density matrix and the definition of S that the program
+  inverts.
 * ``commutator_correlation_oracle`` samples the two-time correlation in the
   time domain with one scipy matrix exponential, and
   ``half_fourier_oracle`` transforms it with an endpoint-corrected
@@ -47,6 +61,10 @@ from scipy import sparse
 from scipy.linalg import expm, schur, solve_triangular
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
+
+from mirrorless import (CollapseChannels, DipoleOperator, build_collapse,
+                        build_liouvillian, probe_raising, pump_hamiltonian,
+                        pump_raising, steady_state)
 
 
 def _fac(n: int) -> int:
@@ -186,6 +204,104 @@ def two_level_absorption(delta_pr: float, gamma: float = 1.0) -> float:
     Normalized to 1 at resonance: Lorentzian of HWHM gamma/2.
     """
     return (gamma ** 2 / 4.0) / (delta_pr ** 2 + gamma ** 2 / 4.0)
+
+
+def two_level_hamiltonian(omega: float, delta: float) -> np.ndarray:
+    """Driven nondegenerate two-level atom, basis (excited, ground).
+
+    H = (1/2) [[2*delta, omega], [omega, 0]]; the bare-Rabi reference system
+    used for Mollow-spectrum placement and as a closed-form oracle target.
+    """
+    h = 0.5 * np.array([[2.0 * delta, omega], [omega, 0.0]], dtype=complex)
+    h.flags.writeable = False
+    return h
+
+
+def two_level_collapse() -> CollapseChannels:
+    """Single decay channel of the two-level reference atom."""
+    d = np.zeros((2, 2), dtype=complex)
+    s = d.copy()
+    s[1, 0] = 1.0
+    s.flags.writeable = False
+    d.flags.writeable = False
+    return CollapseChannels(sigmas=(s, d, d))
+
+
+def two_level_dipole() -> DipoleOperator:
+    """Unit raising operator |e><g| of the two-level reference atom."""
+    o = np.zeros((2, 2), dtype=complex)
+    o[0, 1] = 1.0
+    o.flags.writeable = False
+    return DipoleOperator(d_plus=o, polarization="parallel", n_ground=1)
+
+
+def pump_coupled_excited(scheme):
+    """Excited indices with a nonzero pi coupling to the ground manifold."""
+    return np.flatnonzero(pump_raising(scheme).any(axis=1)).tolist()
+
+
+def build_hamiltonian(scheme, fields) -> np.ndarray:
+    """Rotating-frame field-interaction Hamiltonian, H = (1/2) M in Gamma units.
+
+    Diagonal of M: 0 on ground sublevels, 2*delta_pr on excited sublevels
+    coupled only by the probe, 2*(delta_p + delta_pr) on pump-coupled excited
+    sublevels.  Off-diagonal: pump couplings omega_p * w on Delta m = 0 pairs,
+    probe couplings -+ i omega_pr * w / sqrt(2) on Delta m = +-1 pairs.
+    Hermitian by construction.
+    """
+    d = scheme.dim
+    m = np.zeros((d, d), dtype=complex)
+    pumped = set(pump_coupled_excited(scheme))
+    for e in scheme.excited_indices:
+        m[e, e] = (2.0 * (fields.delta_p + fields.delta_pr) if e in pumped
+                   else 2.0 * fields.delta_pr)
+    vp = pump_raising(scheme) * fields.omega_p
+    vx = probe_raising(scheme) * fields.omega_pr
+    m += vp + vp.conj().T + vx + vx.conj().T
+    h = 0.5 * m
+    h.flags.writeable = False
+    return h
+
+
+def mirror_permutation(scheme) -> np.ndarray:
+    """Index permutation implementing the m -> -m reflection."""
+    perm = np.empty(scheme.dim, dtype=int)
+    for i, (man, m) in enumerate(scheme.sublevels):
+        perm[i] = scheme.index_map[(man, -m)]
+    return perm
+
+
+def degenerate_probe_steady_state(scheme, fields) -> np.ndarray:
+    """Static steady state with pump and an exactly degenerate weak x probe.
+
+    Valid when delta = omega_p - omega_pr = 0, where the single rotating
+    frame at the common field frequency is consistent and the Hamiltonian is
+    time independent: all excited sublevels at delta_p, pump plus probe
+    couplings static.  Its probe coherences (rho12, rho34, rho56 in the
+    8-level numbering), divided by omega_pr, approach the absorption
+    coefficient of light generated at the pump frequency as omega_pr -> 0,
+    which the program takes exactly
+    (:func:`mirrorless.propagation.transport_coefficients`).
+    """
+    if abs(fields.delta) > 1e-12:
+        raise ValueError("degenerate-probe steady state requires delta = 0")
+    Vx = probe_raising(scheme) * fields.omega_pr
+    H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p) \
+        + 0.5 * (Vx + Vx.conj().T)
+    return steady_state(build_liouvillian(H, build_collapse(scheme)))
+
+
+def density_matrix_defects(rho):
+    """(hermiticity defect, trace defect, most negative eigenvalue)."""
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    tr = float(abs(np.trace(rho) - 1.0))
+    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    return herm, tr, float(w[0])
+
+
+def saturation_parameter(omega_p: float, delta_p: float) -> float:
+    """S = omega_p^2 / (Gamma^2/4 + delta_p^2)."""
+    return omega_p ** 2 / (0.25 + delta_p ** 2)
 
 
 def commutator_correlation_oracle(L, rho_ss, d_plus, dt, t_window):

@@ -39,9 +39,8 @@ def _name(node):
 
 def test_eig_route_stays_out_of_the_program():
     # resolvent_spectrum (eig, then a solve with the eigenvector matrix) is
-    # the tests' reference; the program's spectra come from the Schur route.
-    # Likewise the finite-probe degenerate_probe_steady_state is the tests'
-    # reference for alpha_x, which the program takes as linear response
+    # the reference of the benchmark and the tests; the program's spectra
+    # come from the Schur route
     offenders, eig_in_reference = [], 0
     for path in sorted(Path(mirrorless.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -49,8 +48,8 @@ def test_eig_route_stays_out_of_the_program():
                      if isinstance(n, ast.FunctionDef)
                      and n.name == "resolvent_spectrum"]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _name(node.func) in (
-                    "resolvent_spectrum", "degenerate_probe_steady_state"):
+            if isinstance(node, ast.Call) \
+                    and _name(node.func) == "resolvent_spectrum":
                 offenders.append(
                     f"{path.name}:{node.lineno} calls {_name(node.func)}")
             if _name(node) == "eig":
@@ -60,6 +59,37 @@ def test_eig_route_stays_out_of_the_program():
                     offenders.append(f"{path.name}:{node.lineno} uses eig")
     assert offenders == []
     assert eig_in_reference == 1
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_definition_is_used_by_the_program_or_the_benchmark():
+    # code that only tests call belongs in tests/oracles.py: every function,
+    # class and method of the package (dunders aside) is referenced in the
+    # package or the benchmark.  A method counts only as an attribute, so a
+    # local variable of the same name does not keep it
+    package = sorted(Path(mirrorless.__file__).parent.glob("*.py"))
+    names, attributes, defined = set(), set(), []
+    for path in package + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+        if path not in package:
+            continue
+        methods = {id(m): c.name for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef) for m in c.body}
+        defined += [(path.name, methods.get(id(n)), n.name)
+                    for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and not n.name.startswith("__")]
+    unused = [f"{module}:{cls + '.' if cls else ''}{name}"
+              for module, cls, name in defined
+              if name not in attributes and (cls or name not in names)]
+    assert unused == []
 
 
 def test_propagation_steps_without_expm():

@@ -9,16 +9,15 @@ from mirrorless import (build_collapse, build_liouvillian, build_scheme,
                         equal_ground_state, pump_only_steady_state,
                         steady_state)
 from mirrorless.dynamics import _blocks
-from mirrorless.levels import (probe_raising, pump_hamiltonian,
-                               two_level_collapse, two_level_hamiltonian)
+from mirrorless.levels import probe_raising, pump_hamiltonian
 from mirrorless.spectra import (_commutator_superoperator,
                                 correlation_spectrum, parallel_dipole,
-                                perpendicular_dipole, two_level_dipole,
-                                weak_probe_absorption)
+                                perpendicular_dipole, weak_probe_absorption)
 
 from conftest import random_density_matrix
 from oracles import (regression_oracle, steady_state_oracle,
-                     weak_probe_full_oracle)
+                     two_level_collapse, two_level_dipole,
+                     two_level_hamiltonian, weak_probe_full_oracle)
 
 # every dipole line F_g -> F_e with at most 12 sublevels
 LINES = [(fg / 2, fe / 2) for fg in range(11) for fe in (fg - 2, fg, fg + 2)

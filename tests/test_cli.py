@@ -15,7 +15,9 @@ import pytest
 from mirrorless.cli import (_KEYS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             WORKFLOWS, ConfigError, ResultTable,
                             ScenarioConfig, parse_config, run)
-from oracles import table_csv_oracle, table_json_oracle
+from mirrorless import build_liouvillian, correlation_spectrum, steady_state
+from oracles import (table_csv_oracle, table_json_oracle, two_level_collapse,
+                     two_level_dipole, two_level_hamiltonian)
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -455,6 +457,40 @@ delta_points = 11
 """
     with pytest.raises(ConfigError, match="parallel"):
         parse_config(write_config(tmp_path, body))
+
+
+@pytest.mark.parametrize("keys", ["f_ground = 0", "f_excited = 1",
+                                  "f_ground = 1\nf_excited = 2"])
+def test_two_level_with_a_line_exits_config_error(tmp_path, capsys, keys):
+    # two_level = true is the 0 -> 1 line: a line given beside it is given
+    # twice, and would otherwise be ignored
+    from mirrorless.cli import main
+    body = (f"[transition]\ntwo_level = true\n{keys}\n"
+            "[fields]\nomega_p = 4\nprobe_polarization = parallel\n"
+            "[scan]\nworkflow = spectrum\ndelta_min = -8\ndelta_max = 8\n"
+            "delta_points = 5\n")
+    path = write_config(tmp_path, body)
+    assert main([path, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    named = [k.split(" = ")[0] for k in keys.split("\n")]
+    assert err.startswith(f"config error: [transition] two_level and "
+                          f"{', '.join(named)} are both given")
+
+
+@pytest.mark.parametrize("preset", ["mollow_parallel_resonant",
+                                    "mollow_parallel_detuned"])
+def test_two_level_presets_match_the_two_by_two_atom(preset):
+    # two_level = true runs as the 0 -> 1 line; the hand-built 2 x 2 atom
+    # gives the same spectrum on the preset's grid
+    cfg = parse_config(str(PRESETS / f"{preset}.ini"))
+    assert (cfg.f_ground, cfg.f_excited) == (0.0, 1.0)
+    table = run(cfg)
+    L = build_liouvillian(two_level_hamiltonian(cfg.omega_p, cfg.delta_p),
+                          two_level_collapse())
+    ref = correlation_spectrum(L, steady_state(L), two_level_dipole(),
+                               cfg.delta_grid)
+    assert np.array_equal(table.rows[:, 0], ref.delta)
+    assert np.max(np.abs(table.rows[:, 1] - ref.absorption)) <= 1e-12
 
 
 def test_all_presets_parse():

@@ -6,16 +6,17 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from mirrorless import (DegenerateSteadyStateError, FieldConfig, Liouvillian,
-                        build_collapse, build_hamiltonian, build_liouvillian,
-                        build_scheme, equal_ground_state, evolve,
-                        inversion_scan, omega_from_saturation,
-                        pump_only_steady_state, saturation_parameter,
+                        build_collapse, build_liouvillian, build_scheme,
+                        equal_ground_state, evolve, inversion_scan,
+                        omega_from_saturation, pump_only_steady_state,
                         steady_state)
-from mirrorless.dynamics import density_matrix_defects
-from mirrorless.levels import pump_hamiltonian, two_level_collapse
+from mirrorless.levels import pump_hamiltonian
 
 from conftest import random_density_matrix
-from oracles import master_rhs_oracle, two_level_excited_population
+from oracles import (build_hamiltonian, density_matrix_defects,
+                     master_rhs_oracle, mirror_permutation,
+                     saturation_parameter, two_level_collapse,
+                     two_level_excited_population, two_level_hamiltonian)
 
 
 def test_liouvillian_matches_naive_rhs_oracle(scheme8, rng):
@@ -53,7 +54,7 @@ def test_decay_redistributes_by_branching(scheme8):
     rho0[scheme8.index("excited", 0.0)] = 0.0
     rho0[scheme8.index("excited", 0.0), scheme8.index("excited", 0.0)] = 1.0
     ev = evolve(L, rho0, 20.0)
-    pops = np.real(np.diag(ev.final()))
+    pops = np.real(np.diag(ev.states[-1]))
     assert pops[scheme8.index("ground", -1.0)] == pytest.approx(1 / 6, abs=1e-8)
     assert pops[scheme8.index("ground", 0.0)] == pytest.approx(2 / 3, abs=1e-8)
     assert pops[scheme8.index("ground", 1.0)] == pytest.approx(1 / 6, abs=1e-8)
@@ -67,7 +68,8 @@ def test_pump_off_decay_to_ground(scheme8):
     for e in scheme8.excited_indices:
         rho0[e, e] = 1.0 / 5
     ev = evolve(L, rho0, 20.0)
-    excited_pop = sum(ev.final()[e, e].real for e in scheme8.excited_indices)
+    excited_pop = sum(ev.states[-1][e, e].real
+                      for e in scheme8.excited_indices)
     assert excited_pop < 1e-8
 
 
@@ -86,7 +88,7 @@ def test_s36_steady_state_inversion(scheme8):
 def test_evolve_agrees_with_steady_state(scheme8):
     rho_ss, L = pump_only_steady_state(scheme8, 3.0, 0.0)
     ev = evolve(L, equal_ground_state(scheme8), 200.0)
-    assert np.max(np.abs(ev.final() - rho_ss)) < 1e-6
+    assert np.max(np.abs(ev.states[-1] - rho_ss)) < 1e-6
 
 
 def test_two_level_closed_form_excited_population():
@@ -101,6 +103,20 @@ def test_two_level_closed_form_excited_population():
             assert e0 == pytest.approx(two_level_excited_population(S),
                                        rel=1e-10)
             assert saturation_parameter(omega, delta) == pytest.approx(S)
+
+
+@pytest.mark.parametrize("omega_p, delta_p", [(0.0, 0.0), (10.0, -3.0)])
+def test_zero_to_one_line_is_the_two_level_atom(omega_p, delta_p):
+    # the pumped 0 -> 1 line holds the hand-built 2 x 2 atom in its pi pair
+    # and nothing elsewhere
+    scheme = build_scheme(0, 1)
+    rho, _ = pump_only_steady_state(scheme, omega_p, delta_p)
+    ref = steady_state(build_liouvillian(
+        two_level_hamiltonian(omega_p, delta_p), two_level_collapse()))
+    pair = [scheme.index("excited", 0.0), scheme.index("ground", 0.0)]
+    padded = np.zeros_like(rho)
+    padded[np.ix_(pair, pair)] = ref
+    assert np.max(np.abs(rho - padded)) <= 1e-14
 
 
 def test_undriven_null_space_reported(scheme8):
@@ -181,9 +197,9 @@ def test_inversion_scan_small_s_limit(scheme8):
     ev = evolve(L, equal_ground_state(scheme8), 20.0)
     # populations shift only at second order in the drive; coherences are
     # first order (~1e-6) and set the scale of the full-matrix bound
-    pops = np.real(np.diag(ev.final()))
+    pops = np.real(np.diag(ev.states[-1]))
     assert np.max(np.abs(pops - 1.0 / 3.0 * np.array([0, 1, 0, 1, 0, 1, 0, 0]))) < 1e-9
-    assert np.max(np.abs(ev.final() - equal_ground_state(scheme8))) < 1e-5
+    assert np.max(np.abs(ev.states[-1] - equal_ground_state(scheme8))) < 1e-5
 
 
 def test_inversion_monotonicity_and_evolution_crosscheck(scheme8):
@@ -198,7 +214,7 @@ def test_inversion_monotonicity_and_evolution_crosscheck(scheme8):
         L = build_liouvillian(H, build_collapse(scheme8))
         horizon = min(max(300.0 / p.omega_p ** 2, 200.0), 20000.0)
         ev = evolve(L, equal_ground_state(scheme8), horizon)
-        assert ev.final()[e0, e0].real == pytest.approx(p.populations[e0],
+        assert ev.states[-1][e0, e0].real == pytest.approx(p.populations[e0],
                                                         abs=2e-5)
 
 
@@ -215,7 +231,7 @@ def test_evolution_invariants(scheme8):
 def test_mirror_symmetry_preserved_in_time(scheme8):
     L = build_liouvillian(pump_hamiltonian(scheme8, 3.0, 0.0),
                           build_collapse(scheme8))
-    perm = scheme8.mirror_permutation()
+    perm = mirror_permutation(scheme8)
     ev = evolve(L, equal_ground_state(scheme8), 30.0)
     for rho in ev.states:
         assert np.max(np.abs(rho[np.ix_(perm, perm)] - rho)) < 1e-10
@@ -270,7 +286,7 @@ def test_evolve_matches_expm(rng):
     rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     ev = evolve(L, rho0, 1.7, hermitize=False, n_samples=2)
     ref = expm(1.7 * L.matrix) @ rho0.reshape(-1)
-    assert np.max(np.abs(ev.final().reshape(-1) - ref)) < 1e-9
+    assert np.max(np.abs(ev.states[-1].reshape(-1) - ref)) < 1e-9
 
 
 def test_evolve_uniform_grid_uses_one_propagator(scheme8, monkeypatch):

@@ -18,10 +18,9 @@ from mirrorless.propagation import (CellConfig, _closed_form,
                                     _coherence_sum, output_curve, propagate,
                                     spontaneous_sources,
                                     transport_coefficients)
-from mirrorless.spectra import (degenerate_probe_steady_state,
-                                weak_probe_absorption)
+from mirrorless.spectra import weak_probe_absorption
 
-from oracles import two_level_absorption
+from oracles import degenerate_probe_steady_state, two_level_absorption
 from units import unit
 
 

@@ -1,23 +1,23 @@
-"""Regression-theorem spectra, weak-probe route, dressed-state predictions."""
+"""Regression-theorem spectra, weak-probe route, minimum-absorption scans."""
 
 import numpy as np
 import pytest
 
 from mirrorless import DegenerateSteadyStateError, FieldConfig, \
-    build_liouvillian, build_scheme, pump_only_steady_state, steady_state
-from mirrorless.levels import (probe_raising, pump_hamiltonian,
-                               two_level_collapse, two_level_hamiltonian)
-from mirrorless.spectra import (CorrelationWindowError, DressedLadder,
-                                correlation_spectrum,
-                                degenerate_probe_steady_state, dressed_ladder,
+    build_collapse, build_liouvillian, build_scheme, \
+    pump_only_steady_state, steady_state
+from mirrorless.levels import probe_raising, pump_hamiltonian, pump_raising
+from mirrorless.spectra import (CorrelationWindowError, correlation_spectrum,
                                 min_absorption_scan, parallel_dipole,
                                 perpendicular_dipole,
                                 perpendicular_gain_spectrum,
-                                resolvent_spectrum, two_level_dipole,
-                                weak_probe_absorption)
+                                resolvent_spectrum, weak_probe_absorption)
 
-from oracles import (commutator_correlation_oracle, half_fourier_oracle,
-                     two_level_absorption, weak_probe_oracle)
+from oracles import (commutator_correlation_oracle,
+                     degenerate_probe_steady_state, half_fourier_oracle,
+                     two_level_absorption, two_level_collapse,
+                     two_level_dipole, two_level_hamiltonian,
+                     weak_probe_oracle)
 
 
 def _tls(omega, delta):
@@ -168,9 +168,11 @@ def test_f23_parallel_detuned_one_sided_amplification(scheme12):
     a = resolvent_spectrum(L, rho, parallel_dipole(scheme12), grid).absorption
     assert np.max(np.abs(a - a[::-1])) > 0.1 * np.max(np.abs(a))
     # sideband windows around the per-pair generalized Rabi frequencies
-    ladder = dressed_ladder(pump_hamiltonian(scheme12, 4.0, 2.0), scheme12)
-    side = max(p.sideband for p in ladder.pairs)
-    lo = (grid > -side - 1.5) & (grid < -min(p.sideband for p in ladder.pairs) + 1.5) & (grid < -1.5)
+    # sqrt((omega_p w)^2 + delta_p^2) of the pi pairs
+    w = np.abs(pump_raising(scheme12))
+    sidebands = np.hypot(4.0 * w[w > 0], 2.0)
+    side = sidebands.max()
+    lo = (grid > -side - 1.5) & (grid < -sidebands.min() + 1.5) & (grid < -1.5)
     hi = (grid < side + 1.5) & (grid > 1.5)
     mins = sorted([a[lo].min(), a[hi].min()])
     assert mins[0] < 0 <= mins[1]
@@ -282,6 +284,20 @@ def test_weak_probe_dark_line_raises(line):
     assert err.value.dimension > 1
 
 
+@pytest.mark.parametrize("line, omega_p, dimension", [((2, 1), 3.0, 4),
+                                                     ((1, 2), 0.0, 9)])
+def test_weak_probe_rejects_dark_or_undriven_liouvillian(line, omega_p,
+                                                         dimension):
+    # handed the pump L of a dark or an undriven line directly, the weak
+    # probe measures the null space itself, once per call
+    scheme = build_scheme(*line)
+    L = build_liouvillian(pump_hamiltonian(scheme, omega_p, 0.0),
+                          build_collapse(scheme))
+    with pytest.raises(DegenerateSteadyStateError) as err:
+        weak_probe_absorption(scheme, L, 3e-3, [0.0, 1.0])
+    assert err.value.dimension == dimension
+
+
 def test_degenerate_probe_coherences_resonant(scheme8):
     # criterion-6 structure: at resonance the probe coherences are real and
     # the mirror-symmetric pairs are equal
@@ -321,13 +337,12 @@ def test_degenerate_probe_halves_raman_peak(scheme8):
 def test_min_absorption_scan_resonant_nonnegative(scheme12):
     scan = min_absorption_scan(scheme12, 0.0, np.linspace(0.3, 6.0, 8))
     assert all(p.min_absorption >= -1e-6 for p in scan.points)
-    assert scan.gain_intervals() == []
+    assert not any(p.min_absorption < 0.0 for p in scan.points)
 
 
 def test_min_absorption_scan_detuned_gain(scheme12):
     scan = min_absorption_scan(scheme12, 0.75, np.linspace(0.3, 6.0, 8))
     assert any(p.min_absorption < 0 for p in scan.points)
-    assert len(scan.gain_intervals()) >= 1
 
 
 def test_min_absorption_resonant_tie_resolves_to_lowest_delta(scheme12):
@@ -361,37 +376,17 @@ def test_min_absorption_vanishing_drive(scheme12):
     assert p.min_absorption < 1e-2  # spectrum tends to zero off resonance
 
 
-def test_dressed_ladder_two_level():
-    ladder = dressed_ladder(two_level_hamiltonian(4.0, 0.0))
-    assert len(ladder.pairs) == 1
-    assert ladder.pairs[0].sideband == pytest.approx(4.0)
-    assert ladder.sideband_offsets() == pytest.approx([-4.0, 4.0])
-    ladder = dressed_ladder(two_level_hamiltonian(4.0, 3.0))
-    assert ladder.pairs[0].sideband == pytest.approx(5.0)
-    assert DressedLadder.three_photon_partner(-5.0) == 5.0
-
-
 def test_dressed_ladder_predicts_spectrum_extrema():
-    # sideband predictions coincide with the spectrum's outermost dispersive
-    # feature (zero crossing) within one grid step
+    # the dressed-state sidebands of the resonant two-level atom, +-Omega,
+    # coincide with the spectrum's outermost dispersive feature (zero
+    # crossing) within one grid step
     L, rho = _tls(4.0, 0.0)
     grid = np.linspace(-8, 8, 641)
     a = resolvent_spectrum(L, rho, two_level_dipole(), grid).absorption
     crossings = np.array(_sign_changes(grid, a))
-    predicted = dressed_ladder(two_level_hamiltonian(4.0, 0.0)).sideband_offsets()
     step = grid[1] - grid[0]
-    for p in predicted:
+    for p in (-4.0, 4.0):
         assert np.min(np.abs(crossings - p)) < 2 * step
-
-
-def test_dressed_ladder_multilevel(scheme8):
-    H = pump_hamiltonian(scheme8, 4.0, 3.0)
-    ladder = dressed_ladder(H, scheme8)
-    assert len(ladder.pairs) == 3
-    for p in ladder.pairs:
-        w = abs(p.rabi / 4.0)
-        assert p.sideband == pytest.approx(np.hypot(4.0 * w, 3.0))
-        assert p.detuning == pytest.approx(3.0)
 
 
 def test_spectrum_grid_validation(scheme8):
