@@ -8,13 +8,16 @@ Run from the root of a source checkout: the program is imported from
 layer is timed on the blocked route the program uses and on the full-matrix
 route it replaced, and the two results are compared:
 
-- steady_state: one SVD per block against one SVD of L;
+- steady_state: one SVD per block against one SVD of L, on a fresh
+  Liouvillian each run, so the blocked route pays for its block search and
+  its singular values, which a Liouvillian keeps once worked out;
 - regression_321: the perpendicular-probe spectrum on 321 offsets, Schur
   factorization included.
 
 Listed apart, without a full-matrix counterpart: ``build_liouvillian_s``,
-one assembly of L, and ``blocks_cold_s``, one search for its blocks with the
-memo cleared (a scan pays for that search once per nonzero pattern).
+one assembly of L, and ``blocks_cold_s``, one search for its blocks on a
+fresh Liouvillian (a scan over the pump strength pays for that search once
+per line and detuning).
 
 Each time is the median of ``REPEATS`` runs in this process after one
 warm-up, in seconds. ``max_dev`` is the largest absolute difference, divided
@@ -38,9 +41,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import mirrorless  # noqa: E402,F401  (before numpy: pins BLAS to one thread)
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from mirrorless import (build_collapse, build_liouvillian,  # noqa: E402
-                        build_scheme, steady_state)
-from mirrorless.dynamics import _blocks, _components  # noqa: E402
+from mirrorless import (Liouvillian, build_collapse,  # noqa: E402
+                        build_liouvillian, build_scheme, steady_state)
 from mirrorless.levels import pump_hamiltonian  # noqa: E402
 from mirrorless.spectra import (correlation_spectrum,  # noqa: E402
                                 perpendicular_dipole)
@@ -96,13 +98,13 @@ def _line(line):
     d_op = perpendicular_dipole(scheme)
     grid = np.linspace(-12.0, 12.0, 321)
 
-    def cold_blocks():
-        _components.cache_clear()
-        return _blocks(L.matrix)
+    def fresh():
+        return Liouvillian(matrix=L.matrix, dim=L.dim)
 
     layers = {
         "steady_state": (
-            lambda: steady_state(L), lambda: steady_state_oracle(L.matrix),
+            lambda: steady_state(fresh()),
+            lambda: steady_state_oracle(L.matrix),
             _dev(rho, steady_state_oracle(L.matrix))),
         "regression_321": (
             lambda: correlation_spectrum(L, rho, d_op, grid),
@@ -112,11 +114,10 @@ def _line(line):
                  regression_oracle(L.matrix, rho, d_op.d_plus, grid))),
     }
     out = {"dim": scheme.dim,
-           "block_sizes": sorted((len(b) for b in _blocks(L.matrix)),
-                                 reverse=True),
+           "block_sizes": sorted((len(b) for b in L.blocks), reverse=True),
            "build_liouvillian_s": _sig(_median_time(
                lambda: build_liouvillian(H, channels))),
-           "blocks_cold_s": _sig(_median_time(cold_blocks))}
+           "blocks_cold_s": _sig(_median_time(lambda: fresh().blocks))}
     for name, (blocked, full, dev) in layers.items():
         b, f = _median_time(blocked), _median_time(full)
         out[name] = {"blocked_s": _sig(b), "full_s": _sig(f),

@@ -11,8 +11,8 @@ detuning, each row times one layer of a scan over the pump strength:
 - ``steady_state``: ``pump_only_steady_state`` (L = A + omega_p B from the
   memo of the line and detuning, one scaled sum per block size) against
   the assembled route, ``build_liouvillian`` then ``steady_state``; warm,
-  and cold with every memo of ``dynamics`` cleared before each run
-  (the memoized routes pay for the block search and the split there);
+  and cold with the memo of pump lines cleared before each run (the
+  memoized route pays for the block search and the split there);
 - ``first_call``: the same two routes as the first call of a fresh
   process, after ``import mirrorless`` and ``build_scheme``, and the route
   both replace, ``per_block_s``: the assembled L, its blocks from scipy's
@@ -51,7 +51,7 @@ import numpy as np  # noqa: E402
 from mirrorless import (FieldConfig, build_collapse,  # noqa: E402
                         build_liouvillian, build_scheme,
                         pump_only_steady_state, steady_state)
-from mirrorless.dynamics import _components, _pump_line  # noqa: E402
+from mirrorless.dynamics import _pump_line  # noqa: E402
 from mirrorless.levels import pump_hamiltonian  # noqa: E402
 from mirrorless.propagation import (CellConfig, propagate,  # noqa: E402
                                     transport_coefficients)
@@ -90,11 +90,6 @@ else:
         assert np.max(np.abs(L.apply(rho))) <= 1e-8
 print(time.perf_counter() - start)
 """
-
-
-def _clear_memos():
-    _components.cache_clear()
-    _pump_line.cache_clear()
 
 
 def _paired(routes):
@@ -138,7 +133,7 @@ def _line(line):
 
     def cold(route):
         def run():
-            _clear_memos()
+            _pump_line.cache_clear()
             return route(OMEGA_P)
         return run
 
@@ -161,7 +156,7 @@ def _line(line):
     }
     out = {"dim": scheme.dim,
            "block_sizes": sorted((len(b) for b in _pump_line(
-               scheme, DELTA_P).partition.blocks), reverse=True),
+               scheme, DELTA_P).blocks), reverse=True),
            "build_liouvillian_s": _sig(_median_time(
                lambda: build_liouvillian(
                    pump_hamiltonian(scheme, OMEGA_P, DELTA_P), channels)))}

@@ -239,11 +239,15 @@ def _grid(name: str, parts: Dict) -> np.ndarray:
     if n > 1 and not hi > lo:
         raise ConfigError(f"grid '{prefix}' must be increasing "
                           f"({prefix}_min < {prefix}_max)")
-    if parts.get("scale") == "log":
-        if lo <= 0:
-            raise ConfigError(f"log-scale grid '{prefix}' needs {prefix}_min > 0")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    log = parts.get("scale") == "log"
+    if log and lo <= 0:
+        raise ConfigError(f"log-scale grid '{prefix}' needs {prefix}_min > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = (np.geomspace if log else np.linspace)(lo, hi, n)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"grid '{prefix}' has a non-finite point: the span "
+                          f"{prefix}_max - {prefix}_min overflows")
+    return grid
 
 
 def parse_config(path: str) -> ScenarioConfig:

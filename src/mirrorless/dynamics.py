@@ -10,23 +10,24 @@ vec(A rho B) = (A kron B^T) vec(rho).
 Dimensions here are small (d <= 12, superoperators <= 144x144), and the
 algebra is block dense: the pi pump and the three decay channels conserve
 the coherence order q = m_i - m_j, so the pump-only L is block diagonal
-(for 2 -> 3 the largest block is 22 x 22).  The blocks are found from L's
-nonzero pattern (:func:`_blocks`), so no symmetry is assumed: a field that
-mixes q merges them.  Each block is factorized on its own and the results
-are scattered back into the full vector.  Steady states come from the
-singular values of every block, one values-only pass per block size, and
-the singular vectors of the blocks that hold the null space.  A scan over
-the pump strength assembles the pump-only L once per line and detuning as
-L = A + omega_p B, cut into its blocks, so each pump strength costs one
-scaled sum per block size before those decompositions.  Time evolution
-samples a uniform grid, stepping with one exact propagator e^{L dt}
-(scaling and squaring) of the whole L.
+(for 2 -> 3 the largest block is 22 x 22).  A :class:`Liouvillian` finds
+its blocks from its nonzero pattern, so no symmetry is assumed (a field
+that mixes q merges them), and keeps them, stacked by size, with the
+singular values that decide its null space: no caller works them out
+again.  Each block is factorized on its own and the results are scattered
+back into the full vector.  Steady states come from those singular values
+and the singular vectors of the blocks that hold the null space.  A scan
+over the pump strength assembles the pump-only L once per line and
+detuning as L = A + omega_p B, cut into its blocks, so each pump strength
+costs one scaled sum per block size before those decompositions.  Time
+evolution samples a uniform grid, stepping with one exact propagator
+e^{L dt} (scaling and squaring) of the whole L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,13 +50,53 @@ class DegenerateSteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense superoperator generating the Lindblad dynamics."""
+    """Dense superoperator generating the Lindblad dynamics.  The matrix is
+    not changed once built: its blocks, their stacks and the singular values
+    that decide its null space are worked out at most once, on first use."""
 
     matrix: np.ndarray  # (d*d, d*d) complex
     dim: int
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return (self.matrix @ rho.reshape(-1)).reshape(self.dim, self.dim)
+
+    @cached_property
+    def blocks(self) -> Tuple[np.ndarray, ...]:
+        """Index sets of the diagonal blocks, matrix[b, c] = 0 for distinct
+        sets b, c: the connected components of the nonzero pattern, each
+        ascending, ordered by their lowest index."""
+        return _components(self.matrix != 0)
+
+    @cached_property
+    def groups(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Per block size, ascending: the numbers of the blocks of that
+        size and their index sets stacked into one (count, size) array."""
+        sizes = np.array([len(b) for b in self.blocks])
+        members = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
+        return tuple((m, np.array([self.blocks[k] for k in m]))
+                     for m in members)
+
+    @cached_property
+    def stacks(self) -> Tuple[np.ndarray, ...]:
+        """The diagonal blocks, one (count, size, size) stack per group."""
+        return _stacks(self.matrix, self.groups)
+
+    @cached_property
+    def singular_values(self) -> Tuple[Tuple[np.ndarray, ...], float]:
+        """The singular values of each stack, one values-only pass per
+        stack, and the bound at or below which they span the null space:
+        1e-10 of the largest, and the smallest one always counts."""
+        svals = tuple(np.linalg.svd(S, compute_uv=False)
+                      for S in self.stacks)
+        scale = max(float(s.max()) for s in svals) or 1.0
+        floor = min(float(s.min()) for s in svals)
+        return svals, max(_NULL_REL_TOL * scale, floor)
+
+    @property
+    def nullity(self) -> int:
+        """Dimension of the null space, by the rule of :func:`steady_state`."""
+        svals, thresh = self.singular_values
+        return sum(int(np.count_nonzero(s <= thresh)) for s in svals)
 
 
 @dataclass(frozen=True)
@@ -113,24 +154,10 @@ def build_liouvillian(H: np.ndarray, channels: CollapseChannels) -> Liouvillian:
     return Liouvillian(matrix=L, dim=d)
 
 
-@dataclass(frozen=True)
-class _Partition:
-    """The diagonal blocks of a nonzero pattern (see :func:`_blocks`)."""
-
-    blocks: Tuple[np.ndarray, ...]
-    # per block size, ascending: the numbers of the blocks of that size and
-    # their index sets stacked into one (count, size) array
-    groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-
-    def stacks(self, A: np.ndarray) -> List[np.ndarray]:
-        """A's diagonal blocks, one (count, size, size) stack per group."""
-        return [A[idx[:, :, None], idx[:, None, :]] for _, idx in self.groups]
-
-
-@lru_cache(maxsize=64)
-def _components(n: int, packed: bytes) -> _Partition:
-    pattern = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
-                            count=n * n).reshape(n, n).astype(bool)
+def _components(pattern: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Index sets of the connected components of the square boolean
+    ``pattern``, each ascending, ordered by their lowest index."""
+    n = len(pattern)
     linked = pattern | pattern.T
     # every index takes the lowest label among its neighbours and then the
     # label of that label, until no label moves: each block ends labelled
@@ -141,32 +168,12 @@ def _components(n: int, packed: bytes) -> _Partition:
         if np.array_equal(lower, labels):
             break
         labels = lower[lower]
-    blocks = [np.flatnonzero(labels == root) for root in np.unique(labels)]
-    sizes = np.array([len(b) for b in blocks])
-    groups = []
-    for size in np.unique(sizes):
-        members = np.flatnonzero(sizes == size)
-        groups.append((members, np.array([blocks[k] for k in members])))
-    for a in [*blocks, *(a for g in groups for a in g)]:
-        a.flags.writeable = False
-    return _Partition(blocks=tuple(blocks), groups=tuple(groups))
+    return tuple(np.flatnonzero(labels == root) for root in np.unique(labels))
 
 
-def _partition(A: np.ndarray) -> _Partition:
-    """The diagonal blocks of the square matrix A, memoized on its packed
-    nonzero pattern: a scan over field strengths pays for the search once."""
-    pattern = np.asarray(A) != 0
-    return _components(pattern.shape[0], np.packbits(pattern).tobytes())
-
-
-def _blocks(A: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Index sets of the diagonal blocks of the square matrix A.
-
-    They are the connected components of A's nonzero pattern, so
-    A[b, c] = 0 for any two distinct sets b, c; each set is ascending, and
-    the sets are ordered by their lowest index.
-    """
-    return _partition(A).blocks
+def _stacks(A: np.ndarray, groups) -> Tuple[np.ndarray, ...]:
+    """A's diagonal blocks, one (count, size, size) stack per group."""
+    return tuple(A[idx[:, :, None], idx[:, None, :]] for _, idx in groups)
 
 
 def equal_ground_state(scheme: LevelScheme) -> np.ndarray:
@@ -222,52 +229,29 @@ def steady_state(L: Liouvillian, mode: str = "unique",
                  rho0: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve L[rho] = 0 with Tr rho = 1 from the SVD L = U S V^H.
 
-    L is block diagonal (see :func:`_blocks`), so its SVD is the union of
-    one SVD per block, each block's singular vectors scattered into the
-    full space.  The null space is spanned by the right singular vectors
-    V0 whose singular values fall below 1e-10 of the largest (the smallest
-    one always counts).  The singular values come from one values-only pass
-    over the blocks, stacked by size; only the blocks that hold a null
-    vector are decomposed in full.
+    L is block diagonal (see :attr:`Liouvillian.blocks`), so its SVD is
+    the union of one SVD per block, each block's singular vectors scattered
+    into the full space.  The null space is spanned by the right singular
+    vectors V0 whose singular values fall below 1e-10 of the largest (the
+    smallest one always counts).  The singular values are L's
+    :attr:`Liouvillian.singular_values`, one values-only pass over the
+    blocks stacked by size; only the blocks that hold a null vector are
+    decomposed in full.
     mode='unique' (default) requires it to be one-dimensional and raises
     :class:`DegenerateSteadyStateError` (carrying the measured dimension)
     otherwise.  mode='project' returns the infinite-time limit reached from
     ``rho0``, P rho0 with the spectral projector P = V0 (U0^H V0)^-1 U0^H
     onto the kernel along the range of L (U0: the left null vectors).
+    Any other ``mode`` raises ValueError.
     """
-    partition = _partition(L.matrix)
-    return _block_steady_state(L, partition, partition.stacks(L.matrix),
-                               mode, rho0)
-
-
-def _null_values(stacks: Sequence[np.ndarray]
-                 ) -> Tuple[List[np.ndarray], float]:
-    """The singular values of each stack of blocks, one values-only pass per
-    stack, and the bound at or below which they span the null space: 1e-10
-    of the largest, and the smallest one always counts."""
-    svals = [np.linalg.svd(S, compute_uv=False) for S in stacks]
-    scale = max(float(s.max()) for s in svals) or 1.0
-    floor = min(float(s.min()) for s in svals)
-    return svals, max(_NULL_REL_TOL * scale, floor)
-
-
-def _nullity(L: Liouvillian) -> int:
-    """Dimension of L's null space, by the rule of :func:`steady_state`."""
-    svals, thresh = _null_values(_partition(L.matrix).stacks(L.matrix))
-    return sum(int(np.count_nonzero(s <= thresh)) for s in svals)
-
-
-def _block_steady_state(L: Liouvillian, partition: _Partition,
-                        stacks: Sequence[np.ndarray], mode: str = "unique",
-                        rho0: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`steady_state` of L, whose diagonal blocks ``partition`` cuts
-    into ``stacks``."""
+    if mode not in ("unique", "project"):
+        raise ValueError(f"unknown steady-state mode {mode!r}")
     d, n = L.dim, L.dim * L.dim
-    svals, thresh = _null_values(stacks)
+    svals, thresh = L.singular_values
     # (singular value, block, position in the block) of the null space,
     # ascending, from the full SVD of each block that holds part of it
     ranked, parts = [], {}
-    for (members, _), S, s in zip(partition.groups, stacks, svals):
+    for (members, _), S, s in zip(L.groups, L.stacks, svals):
         for j in np.flatnonzero(s[:, -1] <= thresh):
             k = int(members[j])
             parts[k] = np.linalg.svd(S[j])
@@ -282,7 +266,7 @@ def _block_steady_state(L: Liouvillian, partition: _Partition,
         raise ValueError("mode='project' requires an initial state rho0")
     U0, V0 = np.zeros((2, n, nullity), dtype=complex)
     for j, (_, k, i) in enumerate(ranked):
-        b, (U, _, Vh) = partition.blocks[k], parts[k]
+        b, (U, _, Vh) = L.blocks[k], parts[k]
         U0[b, j], V0[b, j] = U[:, i], Vh[i].conj()
     if nullity == 1:
         # the SVD fixes no phase: divide by the complex trace first
@@ -308,25 +292,29 @@ class _PumpLine:
 
     A holds the detuning and the decay, B the pi-pump commutator at unit
     Rabi frequency; no entry is in both.  Both are also kept cut into the
-    diagonal blocks of their joint pattern, stacked per block size as in
-    :meth:`_Partition.stacks`.  Every array is read-only.
+    diagonal blocks of their joint pattern (``blocks`` and ``groups`` as
+    of :class:`Liouvillian`), stacked per block size.  Every array is
+    read-only.
     """
 
     dim: int
     A: np.ndarray
     B: np.ndarray
-    partition: _Partition
+    blocks: Tuple[np.ndarray, ...]
+    groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     A_stacks: Tuple[np.ndarray, ...]
     B_stacks: Tuple[np.ndarray, ...]
 
-    def steady_state(self, omega_p: float
-                     ) -> Tuple[np.ndarray, Liouvillian, List[np.ndarray]]:
-        """rho_ss and L at ``omega_p``, and L's diagonal blocks stacked as
-        in :meth:`_Partition.stacks`, for callers that solve on them."""
+    def liouvillian(self, omega_p: float) -> Liouvillian:
+        """L at ``omega_p``, already holding the line's blocks and its own
+        stacks of them."""
         L = Liouvillian(matrix=self.A + omega_p * self.B, dim=self.dim)
-        stacks = [a + omega_p * b
-                  for a, b in zip(self.A_stacks, self.B_stacks)]
-        return _block_steady_state(L, self.partition, stacks), L, stacks
+        # fill L's memos: the joint pattern's blocks are L's own for
+        # omega_p != 0, and still split L at omega_p = 0
+        vars(L).update(blocks=self.blocks, groups=self.groups,
+                       stacks=tuple(a + omega_p * b for a, b
+                                    in zip(self.A_stacks, self.B_stacks)))
+        return L
 
 
 @lru_cache(maxsize=16)
@@ -337,17 +325,17 @@ def _pump_line(scheme: LevelScheme, delta_p: float) -> _PumpLine:
     factors that are exact in binary, so omega_p B equals them bit for bit
     and A + omega_p B is the assembled L itself."""
     L = build_liouvillian(pump_hamiltonian(scheme, 1.0, delta_p),
-                          build_collapse(scheme)).matrix
+                          build_collapse(scheme))
     coupled = pump_raising(scheme) != 0
     coupled |= coupled.T
     eye = np.eye(scheme.dim, dtype=bool)
     pumped = np.kron(coupled, eye) | np.kron(eye, coupled)
-    A, B = np.where(pumped, 0.0, L), np.where(pumped, L, 0.0)
-    partition = _partition(L)
-    line = _PumpLine(dim=scheme.dim, A=A, B=B, partition=partition,
-                     A_stacks=tuple(partition.stacks(A)),
-                     B_stacks=tuple(partition.stacks(B)))
-    for a in (A, B, *line.A_stacks, *line.B_stacks):
+    A, B = np.where(pumped, 0.0, L.matrix), np.where(pumped, L.matrix, 0.0)
+    line = _PumpLine(dim=scheme.dim, A=A, B=B, blocks=L.blocks,
+                     groups=L.groups, A_stacks=_stacks(A, L.groups),
+                     B_stacks=_stacks(B, L.groups))
+    for a in (A, B, *line.A_stacks, *line.B_stacks, *line.blocks,
+              *(a for group in line.groups for a in group)):
         a.flags.writeable = False
     return line
 
@@ -358,9 +346,10 @@ def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
 
     The Liouvillian is assembled once per line and detuning (see
     :class:`_PumpLine`); each pump strength then costs one scaled sum per
-    block size and the SVDs of :func:`steady_state`."""
-    rho, L, _ = _pump_line(scheme, float(delta_p)).steady_state(omega_p)
-    return rho, L
+    block size and :func:`steady_state` of the L that results, which keeps
+    what that measured of its null space."""
+    L = _pump_line(scheme, float(delta_p)).liouvillian(omega_p)
+    return steady_state(L), L
 
 
 # relative accuracy of the bisected inversion threshold S*

@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .dynamics import _pump_line, unvectorize, vectorize
+from .dynamics import pump_only_steady_state, unvectorize, vectorize
 from .levels import (FieldConfig, LevelScheme, build_collapse, probe_raising,
                      pump_raising)
 from .spectra import parallel_dipole, perpendicular_dipole
@@ -192,8 +192,8 @@ def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
     at the pump frequency: with V = ``probe_raising(scheme)`` the source
     x = -(i/2) [V + V^+, rho_ss] lies only in L's q = +-1 blocks, where L is
     nonsingular whenever rho_ss is unique, so the first-order state is
-    rho_1 = -L_b^-1 x_b, solved on the memoized blocks of the pump line
-    (see :func:`mirrorless.dynamics.pump_only_steady_state`), one stacked
+    rho_1 = -L_b^-1 x_b, solved on the blocks that the L of
+    :func:`mirrorless.dynamics.pump_only_steady_state` holds, one stacked
     solve per block size.
 
     Below ``_OMEGA_FLOOR`` the medium is unpumped: no sources, and
@@ -209,13 +209,12 @@ def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
         return TransportCoefficients(
             alpha_z=lorentzian * peak_z, alpha_x=lorentzian * peak_x,
             gamma_z=0.0, gamma_x=0.0, source_z=0.0, source_x=0.0)
-    line = _pump_line(scheme, float(fields.delta_p))
-    rho_ss, _, stacks = line.steady_state(fields.omega_p)
+    rho_ss, L = pump_only_steady_state(scheme, fields.omega_p, fields.delta_p)
     V = probe_raising(scheme)
     mu_x = V + V.conj().T
     x = vectorize(-0.5j * (mu_x @ rho_ss - rho_ss @ mu_x))
     rho_1 = np.zeros_like(x)
-    for (_, idx), S in zip(line.partition.groups, stacks):
+    for (_, idx), S in zip(L.groups, L.stacks):
         hit = np.any(x[idx], axis=1)
         if hit.any():
             rho_1[idx[hit]] = -np.linalg.solve(S[hit],

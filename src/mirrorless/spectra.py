@@ -46,8 +46,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 from scipy.linalg import schur
 
-from .dynamics import (DegenerateSteadyStateError, Liouvillian, _blocks,
-                       _nullity, pump_only_steady_state, vectorize)
+from .dynamics import (DegenerateSteadyStateError, Liouvillian,
+                       pump_only_steady_state, vectorize)
 from .levels import LevelScheme, probe_raising, pump_raising
 
 
@@ -138,9 +138,12 @@ def _regression_engine(L: Liouvillian, rho_ss: np.ndarray,
     w = _trace_vector(d_op.d_minus)
     x0 = vectorize(d_op.d_plus @ rho_ss - rho_ss @ d_op.d_plus)
     M = L.matrix + np.outer(vectorize(rho_ss), vectorize(np.eye(L.dim)))
+    # M has L's blocks: |rho_ss><1| acts inside the one block that holds
+    # every population, since each such block has its trace row as a left
+    # null vector, and L's unique null vector rho_ss lies in it
     thresh = -_UNDAMPED_REL_TOL * max(np.linalg.norm(M, 1), 1.0)
     factors, undamped = [], 0.0
-    for b in _blocks(M):
+    for b in L.blocks:
         if not (np.any(x0[b]) and np.any(w[b])):
             continue  # the block adds exactly zero to w . (M - i delta)^-1 x0
         T, Z, k = schur(M[np.ix_(b, b)], output="complex",
@@ -225,12 +228,14 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     """Explicit weak-probe absorption of the pump steady state of L.
 
     L is a pump Liouvillian with a unique steady state, as
-    :func:`pump_only_steady_state` returns it.  Once per call its null space
-    is measured by the rule of :func:`steady_state`; a dimension above 1 (an
-    undriven line, or a dark one) raises :class:`DegenerateSteadyStateError`
-    carrying it.  The probe enters the pump-frame master equation at finite
-    Rabi frequency omega_pr through its +-i-phased couplings oscillating at
-    the offset delta; the periodic steady state is solved by harmonic
+    :func:`pump_only_steady_state` returns it.  Its
+    :attr:`~mirrorless.dynamics.Liouvillian.nullity`, which L keeps from
+    :func:`steady_state` or else measures once by the same rule, is
+    checked first: a dimension above 1 (an undriven line, or a dark one)
+    raises :class:`DegenerateSteadyStateError` carrying it.  The probe
+    enters the pump-frame master equation at finite Rabi frequency
+    omega_pr through its +-i-phased couplings oscillating at the offset
+    delta; the periodic steady state is solved by harmonic
     balance truncated at ``n_harmonics`` sidebands (nonperturbative in
     omega_pr up to that order).  The absorption is the coherence sum of the
     propagation analysis, i.e. the probe-synchronous part of sum_excited
@@ -259,7 +264,7 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     if omega_pr <= 0 or n_harmonics < 1:
         raise ValueError("explicit weak-probe route requires omega_pr > 0 "
                          "and n_harmonics >= 1")
-    nullity = _nullity(L)
+    nullity = L.nullity
     if nullity > 1:
         raise DegenerateSteadyStateError(nullity)
     delta_grid = np.asarray(delta_grid, dtype=float)

@@ -1,6 +1,7 @@
 """Public API surface: knobs that have one value in use are constants."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -90,6 +91,24 @@ def test_every_definition_is_used_by_the_program_or_the_benchmark():
               for module, cls, name in defined
               if name not in attributes and (cls or name not in names)]
     assert unused == []
+
+
+def test_layers_use_no_private_name_of_dynamics():
+    # the spectra and the transport solve on what a Liouvillian holds, its
+    # blocks, stacks and nullity, and reach the pump line only through
+    # pump_only_steady_state
+    offenders = []
+    for name in ("spectra.py", "propagation.py"):
+        tree = ast.parse((Path(mirrorless.__file__).parent / name)
+                         .read_text(encoding="utf-8"))
+        offenders += [f"{name}:{node.lineno} {alias.name}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and node.module == "dynamics" and node.level == 1
+                      for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+    assert [f.name for f in dataclasses.fields(mirrorless.Liouvillian)] \
+        == ["matrix", "dim"]
 
 
 def test_propagation_steps_without_expm():

@@ -1,14 +1,17 @@
 """Coherence-order blocks and the weak probe's parity sectors: structure,
-and the blocked and sector routes against the full-matrix oracles."""
+the blocked and sector routes against the full-matrix oracles, and the
+block searches and null-space passes that a Liouvillian's memos save."""
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from mirrorless import (build_collapse, build_liouvillian, build_scheme,
-                        equal_ground_state, pump_only_steady_state,
-                        steady_state)
-from mirrorless.dynamics import _blocks
+from mirrorless import (CellConfig, FieldConfig, Liouvillian, build_collapse,
+                        build_liouvillian, build_scheme, dynamics,
+                        equal_ground_state, perpendicular_gain_spectrum,
+                        pump_only_steady_state, steady_state,
+                        transport_coefficients)
+from mirrorless.dynamics import _pump_line
 from mirrorless.levels import probe_raising, pump_hamiltonian
 from mirrorless.spectra import (_commutator_superoperator,
                                 correlation_spectrum, parallel_dipole,
@@ -52,14 +55,14 @@ def test_blocks_are_coherence_orders(line):
     # q, and each q is the union of its blocks; the x probe joins them all
     scheme = build_scheme(*line)
     q = _coherence_order(scheme)
-    blocks = _blocks(_liouvillian(scheme, 2.0, 0.5).matrix)
+    blocks = _liouvillian(scheme, 2.0, 0.5).blocks
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(q.size))
     assert all(len(set(q[b])) == 1 for b in blocks)
     for order in set(q):
         members = [b for b in blocks if q[b[0]] == order]
         assert np.array_equal(np.sort(np.concatenate(members)),
                               np.flatnonzero(q == order))
-    assert len(_blocks(_liouvillian(scheme, 2.0, 0.5, 0.3).matrix)) == 1
+    assert len(_liouvillian(scheme, 2.0, 0.5, 0.3).blocks) == 1
 
 
 @pytest.mark.parametrize("line", LINES)
@@ -72,16 +75,82 @@ def test_blocks_match_connected_components(line):
     rho = equal_ground_state(scheme).reshape(-1)
     for A in (L, L + np.outer(rho, np.eye(scheme.dim).reshape(-1))):
         count, labels = connected_components(A != 0, connection="weak")
-        blocks = _blocks(A)
+        blocks = Liouvillian(matrix=A, dim=scheme.dim).blocks
         assert len(blocks) == count
         assert all(np.array_equal(b, np.flatnonzero(labels == k))
                    for k, b in enumerate(blocks))
 
 
-def test_blocks_memoized_on_pattern(scheme12):
-    first = _blocks(_liouvillian(scheme12, 2.0, 0.5).matrix)
-    assert _blocks(_liouvillian(scheme12, 3.0, 1.5).matrix) is first
-    assert max(len(b) for b in first) == 22
+def _counted(monkeypatch, owner, name, keep=lambda *a, **k: True):
+    """Replace ``owner.name`` by a wrapper; the returned list gets one entry
+    per call for which ``keep(*args, **kwargs)`` holds."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+CELL = CellConfig.pencil(length=0.1, density=1.16e16,
+                         gamma_phys=2 * np.pi * 5.6e6,
+                         wavelength=780.241e-9, beam_radius=1e-3)
+
+
+def test_scan_finds_blocks_once_per_line_and_detuning(monkeypatch, scheme12):
+    # the pump line hands out Liouvillians that already hold its blocks:
+    # no steady state, spectrum or transport of the scan searches a pattern
+    _pump_line.cache_clear()
+    searches = _counted(monkeypatch, dynamics, "_components")
+    for delta_p in (0.5, 1.5):
+        for omega_p in np.linspace(0.2, 6.0, 8):
+            rho, L = pump_only_steady_state(scheme12, omega_p, delta_p)
+            correlation_spectrum(L, rho, perpendicular_dipole(scheme12),
+                                 [-1.0, 0.0, 1.0])
+            transport_coefficients(scheme12, FieldConfig(
+                omega_p=omega_p, omega_pr=0.0, delta_p=delta_p,
+                delta_pr=delta_p), CELL)
+    assert len(searches) == 2
+    assert max(len(b) for b in L.blocks) == 22
+
+
+@pytest.mark.parametrize("make_dipole", [parallel_dipole,
+                                         perpendicular_dipole])
+def test_regression_searches_no_pattern(monkeypatch, scheme12, make_dipole):
+    # M = L + |rho><1| has L's blocks, so the regression engine reads them
+    # off L, which found them once, for its steady state
+    L = _liouvillian(scheme12, 3.0, 0.75)
+    rho = steady_state(L)
+    searches = _counted(monkeypatch, dynamics, "_components")
+    correlation_spectrum(L, rho, make_dipole(scheme12),
+                         np.linspace(-6.0, 6.0, 7))
+    assert searches == []
+
+
+def test_gain_spectrum_measures_the_null_space_once(monkeypatch, scheme12):
+    # the weak-probe guard reads the nullity that the steady state measured
+    # on the same L: one values-only SVD per block size, not two
+    _, L = pump_only_steady_state(scheme12, 3.0, 0.75)
+    passes = _counted(monkeypatch, np.linalg, "svd",
+                      lambda *a, **k: k.get("compute_uv") is False)
+    perpendicular_gain_spectrum(
+        scheme12, FieldConfig(omega_p=3.0, omega_pr=0.0, delta_p=0.75,
+                              delta_pr=0.75), [-1.0, 0.0, 1.0])
+    assert len(passes) == len(L.groups)
+
+
+def test_pump_only_state_is_the_exported_steady_state(monkeypatch, scheme8):
+    # the exported entry is the only route to the block core, so a tracer
+    # that wraps steady_state sees every pump-only state
+    calls = _counted(monkeypatch, dynamics, "steady_state")
+    _, L = pump_only_steady_state(scheme8, 2.0, 0.75)
+    assert len(calls) == 1 and calls[0][0] is L
+    transport_coefficients(scheme8, FieldConfig(
+        omega_p=2.0, omega_pr=0.0, delta_p=0.75, delta_pr=0.75), CELL)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("line, omega_p, delta_p",

@@ -370,6 +370,23 @@ def test_invalid_values_exit_config_error(tmp_path, capsys, base, old, new,
     assert err.startswith("config error:") and key in err
 
 
+@pytest.mark.parametrize("workflow", ["spectrum", "min-absorption-scan"])
+def test_overflowing_grid_exits_config_error(tmp_path, capsys, workflow):
+    # both ends are finite, but the span between them overflows, so the
+    # offsets would be non-finite: the spectrum died with a traceback and
+    # the minimum scan wrote nan
+    from mirrorless.cli import main
+    body = re.sub(r"delta_\w+ = .*\n", "", scenario_text(workflow)).replace(
+        "[scan]\n", "[scan]\ndelta_min = -1e308\ndelta_max = 1e308\n"
+                     "delta_points = 3\n")
+    path = write_config(tmp_path, body)
+    assert main([path, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("config error: grid 'delta' has a non-finite point: the "
+                   "span delta_max - delta_min overflows\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("via", ["option", "config"])
 @pytest.mark.parametrize("target", ["missing/out.csv", ""],
                          ids=["missing-directory", "directory"])

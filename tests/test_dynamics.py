@@ -142,6 +142,20 @@ def test_projection_mode_keeps_dark_state(scheme8):
                                                                    abs=1e-10)
 
 
+@pytest.mark.parametrize("line, mode", [((1, 2), "bogus"),
+                                        ((2, 1), "projekt")])
+def test_steady_state_rejects_unknown_mode(line, mode):
+    # a misspelt mode must not run as 'unique': on the bright 1 -> 2 line
+    # that would return a state, on the dark 2 -> 1 line it would raise
+    # DegenerateSteadyStateError and advise the mode the caller misspelt
+    scheme = build_scheme(*line)
+    L = build_liouvillian(pump_hamiltonian(scheme, 2.0, 0.5),
+                          build_collapse(scheme))
+    with pytest.raises(ValueError, match=f"unknown steady-state mode "
+                                         f"'{mode}'"):
+        steady_state(L, mode=mode, rho0=equal_ground_state(scheme))
+
+
 @pytest.mark.parametrize("line", [(2, 1), (1.5, 0.5)])
 def test_projection_on_pumped_dark_line(line, rng):
     # the pi pump leaves the m_g = +-F_g ground states dark, so the null

@@ -12,7 +12,6 @@ from mirrorless import (FieldConfig, build_collapse, build_liouvillian,
                         parallel_dipole, perpendicular_dipole, propagation,
                         pump_hamiltonian, pump_only_steady_state,
                         steady_state)
-from mirrorless.dynamics import _blocks
 from mirrorless.levels import probe_raising, pump_raising
 from mirrorless.propagation import (CellConfig, _closed_form,
                                     _coherence_sum, output_curve, propagate,
@@ -255,7 +254,7 @@ def test_alpha_x_on_memo_blocks_equals_assembled_route(line, omega_p, cell):
     V = probe_raising(scheme)
     x = (-0.5j * ((V + V.conj().T) @ rho - rho @ (V + V.conj().T))).ravel()
     rho_1 = np.zeros_like(x)
-    for b in _blocks(L.matrix):
+    for b in L.blocks:
         if np.any(x[b]):
             rho_1[b] = -np.linalg.solve(L.matrix[np.ix_(b, b)], x[b])
     expected = -cell.absorption_scale * _coherence_sum(
