@@ -9,7 +9,7 @@ detuning, each row times one layer of a scan over the pump strength:
 
 - ``build_liouvillian_s``: one assembly of the pump-only L;
 - ``steady_state``: ``pump_only_steady_state`` (L = A + omega_p B from the
-  memo of the line and detuning, one scaled sum per block size) against
+  memo of the line and detuning, one scaled sum) against
   the assembled route, ``build_liouvillian`` then ``steady_state``; warm,
   and cold with the memo of pump lines cleared before each run (the
   memoized route pays for the block search and the split there);
@@ -21,7 +21,8 @@ detuning, each row times one layer of a scan over the pump strength:
   residual check; the median of ``FRESH`` processes per route, the routes'
   processes taking turns;
 - ``scan_40``: both routes over 40 pump strengths on [0.1, 6];
-- ``transport_coefficients_s``: one call, alpha_x included;
+- ``transport_coefficients_s``: one call (alpha_x is alpha_z, with no
+  solve of its own);
 - ``propagate_sc_201_s``: self-consistent numeric transport on 201 grid
   points through the reference 0.1 m cell, entry pump omega_p = 0.4.
 

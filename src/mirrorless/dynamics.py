@@ -18,8 +18,8 @@ again.  Each block is factorized on its own and the results are scattered
 back into the full vector.  Steady states come from those singular values
 and the singular vectors of the blocks that hold the null space.  A scan
 over the pump strength assembles the pump-only L once per line and
-detuning as L = A + omega_p B, cut into its blocks, so each pump strength
-costs one scaled sum per block size before those decompositions.  Time
+detuning as L = A + omega_p B with its blocks found once, so each pump
+strength costs one scaled sum before those decompositions.  Time
 evolution samples a uniform grid, stepping with one exact propagator
 e^{L dt} (scaling and squaring) of the whole L.
 """
@@ -79,7 +79,8 @@ class Liouvillian:
     @cached_property
     def stacks(self) -> Tuple[np.ndarray, ...]:
         """The diagonal blocks, one (count, size, size) stack per group."""
-        return _stacks(self.matrix, self.groups)
+        return tuple(self.matrix[idx[:, :, None], idx[:, None, :]]
+                     for _, idx in self.groups)
 
     @cached_property
     def singular_values(self) -> Tuple[Tuple[np.ndarray, ...], float]:
@@ -169,11 +170,6 @@ def _components(pattern: np.ndarray) -> Tuple[np.ndarray, ...]:
             break
         labels = lower[lower]
     return tuple(np.flatnonzero(labels == root) for root in np.unique(labels))
-
-
-def _stacks(A: np.ndarray, groups) -> Tuple[np.ndarray, ...]:
-    """A's diagonal blocks, one (count, size, size) stack per group."""
-    return tuple(A[idx[:, :, None], idx[:, None, :]] for _, idx in groups)
 
 
 def equal_ground_state(scheme: LevelScheme) -> np.ndarray:
@@ -291,10 +287,9 @@ class _PumpLine:
     L(omega_p) = A + omega_p B.
 
     A holds the detuning and the decay, B the pi-pump commutator at unit
-    Rabi frequency; no entry is in both.  Both are also kept cut into the
-    diagonal blocks of their joint pattern (``blocks`` and ``groups`` as
-    of :class:`Liouvillian`), stacked per block size.  Every array is
-    read-only.
+    Rabi frequency; no entry is in both.  ``blocks`` and ``groups`` (as of
+    :class:`Liouvillian`) are those of their joint pattern.  Every array
+    is read-only.
     """
 
     dim: int
@@ -302,18 +297,13 @@ class _PumpLine:
     B: np.ndarray
     blocks: Tuple[np.ndarray, ...]
     groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-    A_stacks: Tuple[np.ndarray, ...]
-    B_stacks: Tuple[np.ndarray, ...]
 
     def liouvillian(self, omega_p: float) -> Liouvillian:
-        """L at ``omega_p``, already holding the line's blocks and its own
-        stacks of them."""
+        """L at ``omega_p``, already holding the line's blocks."""
         L = Liouvillian(matrix=self.A + omega_p * self.B, dim=self.dim)
         # fill L's memos: the joint pattern's blocks are L's own for
         # omega_p != 0, and still split L at omega_p = 0
-        vars(L).update(blocks=self.blocks, groups=self.groups,
-                       stacks=tuple(a + omega_p * b for a, b
-                                    in zip(self.A_stacks, self.B_stacks)))
+        vars(L).update(blocks=self.blocks, groups=self.groups)
         return L
 
 
@@ -332,9 +322,8 @@ def _pump_line(scheme: LevelScheme, delta_p: float) -> _PumpLine:
     pumped = np.kron(coupled, eye) | np.kron(eye, coupled)
     A, B = np.where(pumped, 0.0, L.matrix), np.where(pumped, L.matrix, 0.0)
     line = _PumpLine(dim=scheme.dim, A=A, B=B, blocks=L.blocks,
-                     groups=L.groups, A_stacks=_stacks(A, L.groups),
-                     B_stacks=_stacks(B, L.groups))
-    for a in (A, B, *line.A_stacks, *line.B_stacks, *line.blocks,
+                     groups=L.groups)
+    for a in (A, B, *line.blocks,
               *(a for group in line.groups for a in group)):
         a.flags.writeable = False
     return line
@@ -345,9 +334,9 @@ def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
     """Steady state of the pump-only system, with its Liouvillian.
 
     The Liouvillian is assembled once per line and detuning (see
-    :class:`_PumpLine`); each pump strength then costs one scaled sum per
-    block size and :func:`steady_state` of the L that results, which keeps
-    what that measured of its null space."""
+    :class:`_PumpLine`); each pump strength then costs one scaled sum and
+    :func:`steady_state` of the L that results, which keeps what that
+    measured of its null space."""
     L = _pump_line(scheme, float(delta_p)).liouvillian(omega_p)
     return steady_state(L), L
 

@@ -4,14 +4,14 @@ Models one F_g -> F_e hyperfine line with full Zeeman degeneracy, driven by a
 z-polarized pump (Delta m = 0) and an x-polarized probe (Delta m = +-1).  The
 probe polarization is the circular superposition E_x = (i/sqrt(2)) (E_- + E_+),
 which fixes the +-i phase pattern of the probe couplings; the global gauge is
-chosen so pump couplings are real positive.  The test suite verifies that
-observables do not depend on this gauge, except on the half-integer F -> F
-lines from F = 3/2 up, whose perpendicular spectra need the signs of the
-Clebsch-Gordan coefficients that w = sqrt(b) drops.  One table of branching
-ratios per line feeds the pump and probe couplings and the three decay
-channels, so the Rabi weights and the branching ratios agree (b = w^2).  The
-driven two-level atom is the 0 -> 1 line: its pi pair is the only one the
-pump reaches, with w = 1, and the excited m = +-1 stay empty.
+chosen so pump couplings are real, and positive except on the m < 0 pi
+pairs of F -> F lines, where the Clebsch-Gordan coefficients keep their
+signs.  The test suite verifies that observables do not depend on this
+gauge.  One table of signed weights per line feeds the pump and probe
+couplings and the three decay channels, so the Rabi weights and the
+branching ratios agree (b = w^2).  The driven two-level atom is the 0 -> 1
+line: its pi pair is the only one the pump reaches, with w = 1, and the
+excited m = +-1 stay empty.
 
 All frequencies are in units of the excited-state decay rate Gamma and times
 in 1/Gamma; physical units enter only in the propagation layer.
@@ -124,19 +124,25 @@ def build_scheme(F_g, F_e) -> LevelScheme:
 
 @lru_cache(maxsize=16)
 def _weights(scheme: LevelScheme) -> np.ndarray:
-    """Weights w[e, g] = sqrt(b) of one line, memoized, read-only.
+    """Signed weights w[e, g], w^2 = b, of one line, memoized, read-only.
 
-    w[e, g] is the magnitude of the Clebsch-Gordan coefficient
-    <F_g m_g; 1 mu|F_e m_e>, mu = m_e - m_g, and w^2 the branching ratio b of
-    the decay e -> g, so w^2 sums to 1 over each excited row.  With this
-    normalization the resonant saturation parameter S = omega_p^2/(Gamma^2/4)
-    reproduces the inversion threshold S ~ 4 of the F=1 -> F=2 line.
+    w[e, g] is the Clebsch-Gordan coefficient <F_g m_g; 1 mu|F_e m_e>,
+    mu = m_e - m_g, and w^2 the branching ratio b of the decay e -> g, so
+    w^2 sums to 1 over each excited row.  On F -> F lines w < 0 where
+    mu = -1, or where mu = 0 and m_e < 0; elsewhere w = sqrt(b).  This is
+    the coefficient up to the sign of both sigma components (F -> F) or of
+    the pi component (F -> F - 1), a choice of sublevel phases that no
+    observable sees.  With this normalization the resonant saturation
+    parameter S = omega_p^2/(Gamma^2/4) reproduces the inversion threshold
+    S ~ 4 of the F=1 -> F=2 line.
     """
     w = np.zeros((scheme.dim, scheme.dim))
     for (tme, tmg), b in branching_ratios(scheme.F_g,
                                           scheme.F_e).entries.items():
+        negative = scheme.F_g == scheme.F_e and (tme < tmg or tme == tmg < 0)
         w[scheme.index(EXCITED, tme / 2),
-          scheme.index(GROUND, tmg / 2)] = np.sqrt(float(b))
+          scheme.index(GROUND, tmg / 2)] = (-1.0 if negative else 1.0) \
+            * np.sqrt(float(b))
     w.flags.writeable = False
     return w
 
@@ -153,7 +159,7 @@ def _channel(scheme: LevelScheme, dm: int) -> np.ndarray:
 def pump_raising(scheme: LevelScheme) -> np.ndarray:
     """Raising part of the pi (z-polarized) coupling, unit reduced Rabi.
 
-    The couplings are gauge-fixed real positive, w = sqrt(b).
+    The couplings are the real signed weights w of the line's table.
     """
     return _channel(scheme, 0).astype(complex)
 
@@ -192,7 +198,7 @@ def pump_hamiltonian(scheme: LevelScheme, omega_p: float,
 def build_collapse(scheme: LevelScheme) -> CollapseChannels:
     """Collapse operators for the Delta m = 0, -1, +1 decay channels.
 
-    Read from the line's weight table, sigma[g, e] = w[e, g] = sqrt(b).
+    Read from the line's weight table, sigma[g, e] = w[e, g] = +-sqrt(b).
     Memoized per line; the returned arrays are read-only."""
     # paper ordering k = 1, 2, 3
     sigmas = tuple(np.ascontiguousarray(_channel(scheme, dm).T,

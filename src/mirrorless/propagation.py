@@ -7,11 +7,12 @@ Couples the z-polarized pump and the orthogonally polarized emission through
 
 with absorption coefficients from the steady-state coherences and spontaneous
 source factors from the branching-weighted excited populations.  All of them
-come from one pump-only Liouvillian L and its steady state per operating
-point: alpha_x, the response to the orthogonally polarized light at the pump
-frequency, is the exact linear response of that state, solved on the
-coherence-order blocks q = +-1 of L.  Internal atomic calculations stay in
-Gamma = 1 scaled units; this module owns all SI conversions.  The default
+come from the pump-only steady state per operating point.  alpha_x, the
+response to the orthogonally polarized light at the pump frequency, equals
+alpha_z: the model is rotation invariant, and an x field in phase with the
+z pump only tilts the pump's polarization (the optical-pumping picture of
+Happer, Rev. Mod. Phys. 44, 169 (1972)).  Internal atomic calculations stay
+in Gamma = 1 scaled units; this module owns all SI conversions.  The default
 treatment freezes alpha and Gamma at the entry steady state (the pump and the
 generated field are degenerate, so the medium response is evaluated once); a
 self-consistent per-step mode is provided as an opt-in extension.
@@ -20,15 +21,13 @@ self-consistent per-step mode is provided as an opt-in extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .dynamics import pump_only_steady_state, unvectorize, vectorize
-from .levels import (FieldConfig, LevelScheme, build_collapse, probe_raising,
-                     pump_raising)
-from .spectra import parallel_dipole, perpendicular_dipole
+from .dynamics import pump_only_steady_state
+from .levels import FieldConfig, LevelScheme, build_collapse, pump_raising
+from .spectra import parallel_dipole
 
 # CODATA 2022 (SI): c and h are exact, hbar = h / (2 pi) rounded to double
 _c = 299792458.0              # m/s
@@ -173,28 +172,16 @@ class TransportCoefficients:
 _OMEGA_FLOOR = 1e-3
 
 
-@lru_cache(maxsize=16)
-def _unpumped_peaks(scheme: LevelScheme) -> Tuple[float, float]:
-    """(parallel, perpendicular) ``DipoleOperator.peak_norm`` of one line,
-    memoized."""
-    return (parallel_dipole(scheme).peak_norm(),
-            perpendicular_dipole(scheme).peak_norm())
-
-
 def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
                            cell: CellConfig) -> TransportCoefficients:
     """Absorption and source terms of the medium pumped at ``fields``.
 
     alpha = -(n omega / 2 c eps0 E0) * sum_excited i [mu, rho]_ii for the
     respective polarization, positive meaning attenuation.  alpha_z and the
-    sources come from the pump-only steady state rho_ss of L.  alpha_x is
-    the exact linear response (omega_pr -> 0) of that state to the x probe
-    at the pump frequency: with V = ``probe_raising(scheme)`` the source
-    x = -(i/2) [V + V^+, rho_ss] lies only in L's q = +-1 blocks, where L is
-    nonsingular whenever rho_ss is unique, so the first-order state is
-    rho_1 = -L_b^-1 x_b, solved on the blocks that the L of
-    :func:`mirrorless.dynamics.pump_only_steady_state` holds, one stacked
-    solve per block size.
+    sources come from the pump-only steady state rho_ss.  alpha_x is
+    alpha_z: the medium is isotropic, so its response to an x field in
+    phase with the pump, the pump's polarization tilted, is the pump's own
+    (the tests hold this to the omega_pr -> 0 linear response of rho_ss).
 
     Below ``_OMEGA_FLOOR`` the medium is unpumped: no sources, and
     alpha = kappa * peak_norm / (1 + 4 Delta_p^2) exactly, since every
@@ -205,28 +192,18 @@ def transport_coefficients(scheme: LevelScheme, fields: FieldConfig,
     kappa = cell.absorption_scale
     if fields.omega_p <= _OMEGA_FLOOR:
         lorentzian = kappa / (1.0 + 4.0 * fields.delta_p ** 2)
-        peak_z, peak_x = _unpumped_peaks(scheme)
+        alpha = lorentzian * parallel_dipole(scheme).peak_norm()
         return TransportCoefficients(
-            alpha_z=lorentzian * peak_z, alpha_x=lorentzian * peak_x,
+            alpha_z=alpha, alpha_x=alpha,
             gamma_z=0.0, gamma_x=0.0, source_z=0.0, source_x=0.0)
-    rho_ss, L = pump_only_steady_state(scheme, fields.omega_p, fields.delta_p)
-    V = probe_raising(scheme)
-    mu_x = V + V.conj().T
-    x = vectorize(-0.5j * (mu_x @ rho_ss - rho_ss @ mu_x))
-    rho_1 = np.zeros_like(x)
-    for (_, idx), S in zip(L.groups, L.stacks):
-        hit = np.any(x[idx], axis=1)
-        if hit.any():
-            rho_1[idx[hit]] = -np.linalg.solve(S[hit],
-                                               x[idx[hit]][..., None])[..., 0]
-    alpha_z = -kappa * _coherence_sum(pump_raising(scheme), rho_ss) \
+    rho_ss, _ = pump_only_steady_state(scheme, fields.omega_p, fields.delta_p)
+    alpha = -kappa * _coherence_sum(pump_raising(scheme), rho_ss) \
         / fields.omega_p
-    alpha_x = -kappa * _coherence_sum(V, unvectorize(rho_1, scheme.dim))
     g_z, g_x = spontaneous_sources(rho_ss, scheme)
     prefac = (cell.solid_angle / (4.0 * np.pi)) * cell.density \
         * cell.photon_energy
     return TransportCoefficients(
-        alpha_z=alpha_z, alpha_x=alpha_x,
+        alpha_z=alpha, alpha_x=alpha,
         gamma_z=g_z * cell.gamma_phys, gamma_x=g_x * cell.gamma_phys,
         source_z=prefac * g_z * cell.gamma_phys,
         source_x=prefac * g_x * cell.gamma_phys)
@@ -296,11 +273,11 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
             break
         if self_consistent or i == 0:
             h = y[i + 1] - y[i]
-            dz = float(_closed_form(1.0, co.alpha_z, 0.0, h))
+            # alpha_x = alpha_z: both fields decay alike over the step
+            decay = float(_closed_form(1.0, co.alpha_z, 0.0, h))
             rz = float(_closed_form(0.0, co.alpha_z, co.source_z, h))
-            dx = float(_closed_form(1.0, co.alpha_x, 0.0, h))
             rx = float(_closed_form(0.0, co.alpha_x, co.source_x, h))
-        z, x = dz * z + rz, dx * x + rx
+        z, x = decay * z + rz, decay * x + rx
         if z < 0.0 or x < 0.0:
             clamped = True
             z, x = max(z, 0.0), max(x, 0.0)

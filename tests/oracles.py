@@ -7,7 +7,7 @@ library code it checks:
   the Racah formula with exact Fractions throughout, and
   ``branching_oracle`` and ``dipole_weight_oracle`` are built on it (the
   library reads the branching ratios from the closed form of a rank-1
-  coupling, and keeps no signs).
+  coupling, and sets the signs of the F -> F lines by rule).
 * ``master_rhs_oracle`` evaluates the master-equation right-hand side with
   naive element-by-element double loops (the library builds a superoperator).
 * ``two_level_excited_population`` and ``two_level_absorption`` are
@@ -20,8 +20,10 @@ library code it checks:
   pump-only one); ``mirror_permutation`` is the m -> -m reflection of a
   scheme's sublevels.
 * ``degenerate_probe_steady_state`` is the static steady state with an
-  exactly degenerate probe at finite Rabi frequency (the program takes the
-  probe's alpha_x as its exact omega_pr -> 0 linear response).
+  exactly degenerate probe at finite Rabi frequency, and ``alpha_x_oracle``
+  its exact omega_pr -> 0 linear response, solved on the blocks of the
+  pump-only L (the program takes alpha_x = alpha_z, as the medium is
+  isotropic).
 * ``density_matrix_defects`` and ``saturation_parameter`` are the
   invariants of a density matrix and the definition of S that the program
   inverts.
@@ -280,8 +282,7 @@ def degenerate_probe_steady_state(scheme, fields) -> np.ndarray:
     couplings static.  Its probe coherences (rho12, rho34, rho56 in the
     8-level numbering), divided by omega_pr, approach the absorption
     coefficient of light generated at the pump frequency as omega_pr -> 0,
-    which the program takes exactly
-    (:func:`mirrorless.propagation.transport_coefficients`).
+    which ``alpha_x_oracle`` takes exactly.
     """
     if abs(fields.delta) > 1e-12:
         raise ValueError("degenerate-probe steady state requires delta = 0")
@@ -289,6 +290,30 @@ def degenerate_probe_steady_state(scheme, fields) -> np.ndarray:
     H = pump_hamiltonian(scheme, fields.omega_p, fields.delta_p) \
         + 0.5 * (Vx + Vx.conj().T)
     return steady_state(build_liouvillian(H, build_collapse(scheme)))
+
+
+def alpha_x_oracle(L, rho_ss, v_plus):
+    """alpha_x / kappa: the exact omega_pr -> 0 response of the pump-only
+    state rho_ss of the matrix L to the x probe V = ``v_plus`` at the pump
+    frequency.
+
+    The source x = -(i/2) [V + V^+, rho_ss] lies only in L's q = +-1
+    blocks, where L is nonsingular whenever rho_ss is unique, so the
+    first-order state is rho_1 = -L_b^-1 x_b.  It is solved block by block
+    (blocks from scipy's connected components) on the blocks that hold the
+    entries of V, the only ones the result -2 Im Tr[V^+ rho_1] reads.
+    """
+    d = rho_ss.shape[0]
+    mu = v_plus + v_plus.conj().T
+    x = (-0.5j * (mu @ rho_ss - rho_ss @ mu)).reshape(-1)
+    count, labels = connected_components(L != 0, connection="weak")
+    rho_1 = np.zeros_like(x)
+    for k in range(count):
+        b = np.flatnonzero(labels == k)
+        if np.any(v_plus.reshape(-1)[b]):
+            rho_1[b] = -np.linalg.solve(L[np.ix_(b, b)], x[b])
+    return -2.0 * float(np.imag(np.trace(v_plus.conj().T
+                                         @ rho_1.reshape(d, d))))
 
 
 def density_matrix_defects(rho):

@@ -190,16 +190,16 @@ def test_coupling_weight_squares_are_branching(scheme8):
 
 @pytest.mark.parametrize("line", LINES, ids=lambda l: f"{l[0]:g}->{l[1]:g}")
 def test_one_weight_table_feeds_couplings_and_decay(line):
-    # the pump, the probe and the decay channels read one table of
-    # branching ratios: the pi channel is the gauge-fixed pump coupling
-    # exactly, the sigma channels are the probe coupling up to its
-    # 1/sqrt(2) rounding
+    # the pump, the probe and the decay channels read one table of signed
+    # weights: the pi channel is the pump coupling exactly, the sigma
+    # channels are the probe coupling up to its 1/sqrt(2) rounding (the
+    # spacing of a negative entry is negative)
     scheme = build_scheme(*line)
     sigmas = build_collapse(scheme).sigmas
-    assert np.array_equal(sigmas[0], abs(pump_raising(scheme)).T)
+    assert np.array_equal(sigmas[0], pump_raising(scheme).T)
     sigma_pm = (sigmas[1] + sigmas[2]).real
-    probe = np.sqrt(2.0) * abs(probe_raising(scheme)).T
-    assert np.all(np.abs(sigma_pm - probe) <= np.spacing(sigma_pm))
+    probe = (np.sqrt(2.0) * 1j * probe_raising(scheme)).real.T
+    assert np.all(np.abs(sigma_pm - probe) <= abs(np.spacing(sigma_pm)))
 
 
 def test_raising_operators_respect_selection_rules(scheme12):
@@ -243,8 +243,8 @@ def test_two_level_reference_atom():
 
 def _signed_gauge(scheme):
     """Pump, probe and decay channels in the natural spherical-basis gauge:
-    the program's magnitudes times the signs of the oracle's dipole weights,
-    and a uniform +i/sqrt(2) on the probe."""
+    the magnitudes of the program's weights times the signs of the oracle's
+    dipole weights, and a uniform +i/sqrt(2) on the probe."""
     sign = np.zeros((scheme.dim, scheme.dim))
     for e in scheme.excited_indices:
         for g in scheme.ground_indices:
@@ -253,25 +253,16 @@ def _signed_gauge(scheme):
                 sign[e, g] = np.sign(dipole_weight_oracle(
                     scheme.F_g, scheme.m_of(g), scheme.F_e, scheme.m_of(e),
                     round(q)))
-    sigmas = tuple(s * sign.T for s in build_collapse(scheme).sigmas)
-    return (sign * pump_raising(scheme), -sign * probe_raising(scheme),
+    sigmas = tuple(abs(s) * sign.T for s in build_collapse(scheme).sigmas)
+    return (sign * abs(pump_raising(scheme)),
+            1j * sign * abs(probe_raising(scheme)),
             CollapseChannels(sigmas=sigmas))
 
 
-# On the half-integer F -> F lines with F >= 3/2 the printed gauge is not
-# the signed one: the populations agree, the perpendicular spectra differ by
-# up to 0.1 (the signs agree with sympy's Clebsch-Gordan coefficients)
-_UNGAUGED = pytest.mark.xfail(strict=True, reason="unsigned weights change "
-                              "the spectra of half-integer F -> F lines")
-
-
-@pytest.mark.parametrize("line", [pytest.param(line, marks=_UNGAUGED)
-                                  if line in ((1.5, 1.5), (2.5, 2.5))
-                                  else line for line in BRIGHT],
-                         ids=lambda l: f"{l[0]:g}->{l[1]:g}")
+@pytest.mark.parametrize("line", BRIGHT, ids=lambda l: f"{l[0]:g}->{l[1]:g}")
 def test_gauge_invariance_of_observables(line):
-    # printed gauge (real-positive pump, uniform -i probe) and the natural
-    # signed spherical-basis gauge must give identical observables
+    # printed gauge (real pump, uniform -i probe) and the natural signed
+    # spherical-basis gauge must give identical observables
     from mirrorless.dynamics import build_liouvillian, steady_state
     from mirrorless.spectra import resolvent_spectrum, DipoleOperator
 

@@ -88,8 +88,8 @@ def test_projection_unchanged(line, omega_p, rng):
 
 def test_memo_read_only_and_bounded(scheme8):
     line = _pump_line(scheme8, 0.5)
-    arrays = [line.A, line.B, *line.A_stacks, *line.B_stacks,
-              *line.blocks, *(a for group in line.groups for a in group)]
+    arrays = [line.A, line.B, *line.blocks,
+              *(a for group in line.groups for a in group)]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         line.A[0, 0] = 1.0
