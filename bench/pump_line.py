@@ -9,7 +9,8 @@ detuning, each row times one layer of a scan over the pump strength:
 
 - ``build_liouvillian_s``: one assembly of the pump-only L;
 - ``steady_state``: ``pump_only_steady_state`` (L = A + omega_p B from the
-  memo of the line and detuning, one scaled sum) against
+  memo of the line and detuning, one scaled sum, and the state by
+  elimination onto the ground populations) against
   the assembled route, ``build_liouvillian`` then ``steady_state``; warm,
   and cold with the memo of pump lines cleared before each run (the
   memoized route pays for the block search and the split there);
@@ -30,8 +31,11 @@ Each in-process time is the median of ``PAIRS`` runs after one warm-up, in
 seconds, the two routes' runs alternating; the single-route rows take the
 median of ``REPEATS`` runs (the constant of ``bench/layers.py``, whose
 timing helpers this script shares). ``max_dev`` is the largest absolute difference between
-the two routes' steady states over the scan (both have trace 1); the memo
-reproduces the assembled operator bit for bit, so it reads 0.
+the two routes' steady states over the scan (both have trace 1). The memo
+reproduces the assembled operator bit for bit, but the two routes solve it
+differently, so ``max_dev`` is not 0: it measures the SVD route's loss of
+digits, which grows as the pump weakens (``bench/elimination.py`` holds
+both routes to a 40-digit reference).
 """
 
 from __future__ import annotations

@@ -15,13 +15,14 @@ its blocks from its nonzero pattern, so no symmetry is assumed (a field
 that mixes q merges them), and keeps them, stacked by size, with the
 singular values that decide its null space: no caller works them out
 again.  Each block is factorized on its own and the results are scattered
-back into the full vector.  Steady states come from those singular values
-and the singular vectors of the blocks that hold the null space.  A scan
-over the pump strength assembles the pump-only L once per line and
-detuning as L = A + omega_p B with its blocks found once, so each pump
-strength costs one scaled sum before those decompositions.  Time
-evolution samples a uniform grid, stepping with one exact propagator
-e^{L dt} (scaling and squaring) of the whole L.
+back into the full vector.  The steady state of a general L comes from
+those singular values and the singular vectors of the blocks that hold
+the null space.  The pump-only state needs neither: a scan over the pump
+strength assembles L = A + omega_p B once per line and detuning, and each
+pump strength eliminates the block of the populations onto the ground
+populations, whose rate matrix is at most 7 x 7.  Time evolution samples
+a uniform grid, stepping with one exact propagator e^{L dt} (scaling and
+squaring) of the whole L.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class DegenerateSteadyStateError(RuntimeError):
 @dataclass(frozen=True)
 class Liouvillian:
     """Dense superoperator generating the Lindblad dynamics.  The matrix is
-    not changed once built: its blocks, their stacks and the singular values
-    that decide its null space are worked out at most once, on first use."""
+    not changed once built: its blocks, their stacks, the singular values
+    that decide its null space and its nullity are worked out at most once,
+    on first use, unless :func:`pump_only_steady_state` set them."""
 
     matrix: np.ndarray  # (d*d, d*d) complex
     dim: int
@@ -93,9 +95,10 @@ class Liouvillian:
         floor = min(float(s.min()) for s in svals)
         return svals, max(_NULL_REL_TOL * scale, floor)
 
-    @property
+    @cached_property
     def nullity(self) -> int:
-        """Dimension of the null space, by the rule of :func:`steady_state`."""
+        """Dimension of the null space, by the rule of :func:`steady_state`;
+        :func:`pump_only_steady_state` sets it to 1 with no SVD of L."""
         svals, thresh = self.singular_values
         return sum(int(np.count_nonzero(s <= thresh)) for s in svals)
 
@@ -267,11 +270,15 @@ def steady_state(L: Liouvillian, mode: str = "unique",
     if nullity == 1:
         # the SVD fixes no phase: divide by the complex trace first
         rho = unvectorize(V0[:, 0], d)
-        rho = rho / np.trace(rho)
-    else:
-        U0h = U0.conj().T
-        coeff = np.linalg.solve(U0h @ V0, U0h @ vectorize(rho0))
-        rho = unvectorize(V0 @ coeff, d)
+        return _checked(L, rho / np.trace(rho))
+    U0h = U0.conj().T
+    coeff = np.linalg.solve(U0h @ V0, U0h @ vectorize(rho0))
+    return _checked(L, unvectorize(V0 @ coeff, d))
+
+
+def _checked(L: Liouvillian, rho: np.ndarray) -> np.ndarray:
+    """rho Hermitized and normalized to unit trace; RuntimeError if its
+    residual max |L rho| exceeds ``_RESIDUAL_TOL``."""
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     residual = float(np.max(np.abs(L.apply(rho))))
@@ -284,26 +291,38 @@ def steady_state(L: Liouvillian, mode: str = "unique",
 @dataclass(frozen=True)
 class _PumpLine:
     """The pump-only Liouvillian of one line at one pump detuning,
-    L(omega_p) = A + omega_p B.
+    L(omega_p) = A + omega_p B, and the slices of A and B that eliminate
+    the block of the populations onto the ground populations.
 
     A holds the detuning and the decay, B the pi-pump commutator at unit
-    Rabi frequency; no entry is in both.  ``blocks`` and ``groups`` (as of
-    :class:`Liouvillian`) are those of their joint pattern.  Every array
-    is read-only.
+    Rabi frequency; no entry is in both.  ``blocks`` (as of
+    :class:`Liouvillian`) are those of their joint pattern.  ``P`` are the
+    vec indices of the ground populations and ``Q`` the rest of the blocks
+    that hold them; ``AQQ`` is A[Q, Q], ``BQP`` is B[Q, P] and so on.  L
+    has no P -> P entry (a ground population changes only through the
+    excited states and the optical coherences), so those slices are all of
+    L that a pump-only steady state needs.  Every array is read-only.
     """
 
     dim: int
     A: np.ndarray
     B: np.ndarray
     blocks: Tuple[np.ndarray, ...]
-    groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    P: np.ndarray
+    Q: np.ndarray
+    AQQ: np.ndarray
+    BQQ: np.ndarray
+    AQP: np.ndarray
+    BQP: np.ndarray
+    APQ: np.ndarray
+    BPQ: np.ndarray
 
     def liouvillian(self, omega_p: float) -> Liouvillian:
         """L at ``omega_p``, already holding the line's blocks."""
         L = Liouvillian(matrix=self.A + omega_p * self.B, dim=self.dim)
-        # fill L's memos: the joint pattern's blocks are L's own for
+        # fill L's memo: the joint pattern's blocks are L's own for
         # omega_p != 0, and still split L at omega_p = 0
-        vars(L).update(blocks=self.blocks, groups=self.groups)
+        vars(L)["blocks"] = self.blocks
         return L
 
 
@@ -321,10 +340,15 @@ def _pump_line(scheme: LevelScheme, delta_p: float) -> _PumpLine:
     eye = np.eye(scheme.dim, dtype=bool)
     pumped = np.kron(coupled, eye) | np.kron(eye, coupled)
     A, B = np.where(pumped, 0.0, L.matrix), np.where(pumped, L.matrix, 0.0)
-    line = _PumpLine(dim=scheme.dim, A=A, B=B, blocks=L.blocks,
-                     groups=L.groups)
-    for a in (A, B, *line.blocks,
-              *(a for group in line.groups for a in group)):
+    P = np.array(scheme.ground_indices) * (scheme.dim + 1)
+    Q = np.setdiff1d(np.concatenate(
+        [b for b in L.blocks if np.isin(b, P).any()]), P)
+    QQ, QP, PQ = np.ix_(Q, Q), np.ix_(Q, P), np.ix_(P, Q)
+    line = _PumpLine(dim=scheme.dim, A=A, B=B, blocks=L.blocks, P=P, Q=Q,
+                     AQQ=A[QQ], BQQ=B[QQ], AQP=A[QP], BQP=B[QP], APQ=A[PQ],
+                     BPQ=B[PQ])
+    for a in (*(v for v in vars(line).values() if isinstance(v, np.ndarray)),
+              *line.blocks):
         a.flags.writeable = False
     return line
 
@@ -334,11 +358,34 @@ def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
     """Steady state of the pump-only system, with its Liouvillian.
 
     The Liouvillian is assembled once per line and detuning (see
-    :class:`_PumpLine`); each pump strength then costs one scaled sum and
-    :func:`steady_state` of the L that results, which keeps what that
-    measured of its null space."""
-    L = _pump_line(scheme, float(delta_p)).liouvillian(omega_p)
-    return steady_state(L), L
+    :class:`_PumpLine`).  The state is exact elimination onto the ground
+    populations P, with Q the rest of their block: X = L_QQ^-1 L_QP, and
+    R = -L_PQ X, the ground rate matrix of optical pumping (Happer, Rev.
+    Mod. Phys. 44, 169 (1972)), holds the ground populations rho_P as its
+    null vector; rho_Q = -X rho_P, and every other block is zero.  R's
+    nullity is counted by the rule of :func:`steady_state` on R's singular
+    values, which stay apart however weak the pump.  A nullity above 1 (a
+    dark or an undriven line) raises :class:`DegenerateSteadyStateError`
+    carrying L's :attr:`~Liouvillian.nullity` by that rule on L; otherwise
+    L's nullity is set to 1, and rho_P solves R with one row replaced by
+    the normalization.  The state is Hermitized, normalized and checked as
+    in :func:`steady_state`."""
+    line = _pump_line(scheme, float(delta_p))
+    L = line.liouvillian(omega_p)
+    X = np.linalg.solve(line.AQQ + omega_p * line.BQQ,
+                        line.AQP + omega_p * line.BQP)
+    R = -(line.APQ + omega_p * line.BPQ) @ X
+    s = np.linalg.svd(R, compute_uv=False)
+    if np.count_nonzero(s <= max(_NULL_REL_TOL * s[0], s[-1])) > 1:
+        raise DegenerateSteadyStateError(L.nullity)
+    vars(L)["nullity"] = 1
+    # the columns of R sum to zero (pumping conserves the population), so
+    # its first row may state sum(rho_P) = 1 instead
+    R[0] = 1.0
+    vec = np.zeros(L.dim * L.dim, dtype=complex)
+    vec[line.P] = np.linalg.solve(R, np.eye(len(R))[0])
+    vec[line.Q] = -X @ vec[line.P]
+    return _checked(L, unvectorize(vec, L.dim)), L
 
 
 # relative accuracy of the bisected inversion threshold S*

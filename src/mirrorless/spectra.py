@@ -229,9 +229,9 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
 
     L is a pump Liouvillian with a unique steady state, as
     :func:`pump_only_steady_state` returns it.  Its
-    :attr:`~mirrorless.dynamics.Liouvillian.nullity`, which L keeps from
-    :func:`steady_state` or else measures once by the same rule, is
-    checked first: a dimension above 1 (an undriven line, or a dark one)
+    :attr:`~mirrorless.dynamics.Liouvillian.nullity`, which
+    :func:`pump_only_steady_state` has set (any other L measures it once),
+    is checked first: a dimension above 1 (an undriven line, or a dark one)
     raises :class:`DegenerateSteadyStateError` carrying it.  The probe
     enters the pump-frame master equation at finite Rabi frequency
     omega_pr through its +-i-phased couplings oscillating at the offset

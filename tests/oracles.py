@@ -40,6 +40,9 @@ library code it checks:
   library finds them by label propagation, reads the singular values from
   one values-only pass per block size and decomposes only the blocks that
   hold the null space).
+* ``steady_state_mp_oracle`` solves the q = 0 block of a pump-only L with
+  the trace row, by Gaussian elimination in 40-digit mpmath (the library
+  eliminates that block onto the ground populations in double precision).
 * ``weak_probe_oracle`` solves the whole truncated harmonic-balance system,
   every harmonic at once, with the trace condition as a sparse square
   saddle-point system, or bordered by it by dense least squares (the
@@ -499,6 +502,42 @@ def steady_state_blocks_oracle(L, mode="unique", rho0=None):
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return rho
+
+
+def steady_state_mp_oracle(L, scheme, dps=40):
+    """Unique steady state of the pump-only L from its q = 0 block (found
+    from the sublevels' m), the trace row in place of the first
+    population's row, solved by Gaussian elimination with partial pivoting
+    in ``dps``-digit mpmath and rounded to complex128."""
+    import mpmath
+    d = scheme.dim
+    m = np.array([scheme.m_of(i) for i in range(d)])
+    b = np.flatnonzero(np.subtract.outer(m, m).ravel() == 0)
+    trace = [int(i // d == i % d) for i in b]
+    n, first = len(b), trace.index(1)
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpc(complex(z)) for z in row]
+                for row in L[np.ix_(b, b)]]
+        rows[first] = [mpmath.mpc(t) for t in trace]
+        for k, row in enumerate(rows):
+            row.append(mpmath.mpc(int(k == first)))
+        for k in range(n):
+            p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            for row in rows[k + 1:]:
+                if row[k]:
+                    f = row[k] / pivot[k]
+                    row[k:] = [a - f * c if c else a
+                               for a, c in zip(row[k:], pivot[k:])]
+        x = [0] * n
+        for k in reversed(range(n)):
+            x[k] = (rows[k][n] - sum(rows[k][j] * x[j]
+                                     for j in range(k + 1, n)
+                                     if rows[k][j])) / rows[k][k]
+        vec = np.zeros(d * d, dtype=complex)
+        vec[b] = [complex(z) for z in x]
+    return vec.reshape(d, d)
 
 
 def regression_oracle(L, rho_ss, d_plus, deltas):

@@ -535,6 +535,36 @@ def test_inversion_preset_reports_threshold():
             assert flag
 
 
+def test_weak_far_detuned_inversion_scan_exits_ok(tmp_path):
+    # a weak pump far off resonance is no dark line: the scan exits 0, and
+    # the ground populations lie within O(S) of their omega_p -> 0 limit
+    # on 1 -> 2, 4/17, 9/17, 4/17
+    from mirrorless.cli import main
+    path = write_config(tmp_path, """
+[transition]
+f_ground = 1
+f_excited = 2
+
+[fields]
+delta_p = 10
+
+[scan]
+workflow = inversion-scan
+s_min = 1e-8
+s_max = 1e-6
+s_points = 3
+s_scale = log
+""")
+    out = tmp_path / "out.csv"
+    assert main([path, "--output", str(out)]) == EXIT_OK
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    names = lines[0].split(",")
+    rows = np.array([[float(v) for v in l.split(",")] for l in lines[2:]])
+    ground = rows[:, [names.index(f"pop_g{m}") for m in ("-1", "+0", "+1")]]
+    limit = np.array([4, 9, 4]) / 17
+    assert np.all(np.abs(ground - limit) <= 0.1 * rows[:, :1])
+
+
 def test_propagate_preset_runs():
     cfg = parse_config(str(PRESETS / "propagate_operating_point.ini"))
     table = run(cfg)

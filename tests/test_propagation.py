@@ -7,9 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mirrorless import (DegenerateSteadyStateError, FieldConfig,
-                        build_collapse, build_liouvillian, build_scheme,
-                        correlation_spectrum, equal_ground_state,
+from mirrorless import (FieldConfig, build_collapse, build_liouvillian,
+                        build_scheme, correlation_spectrum, equal_ground_state,
                         parallel_dipole, perpendicular_dipole, propagation,
                         pump_hamiltonian, pump_only_steady_state,
                         steady_state)
@@ -21,7 +20,7 @@ from mirrorless.propagation import (CellConfig, _closed_form,
 from mirrorless.spectra import weak_probe_absorption
 
 from oracles import (alpha_x_oracle, degenerate_probe_steady_state,
-                     two_level_absorption)
+                     steady_state_mp_oracle, two_level_absorption)
 from test_blocks import BRIGHT
 from units import unit
 
@@ -252,32 +251,41 @@ def test_alpha_x_is_alpha_z_on_every_bright_line(line, cell):
     # pump-only state (the oracle's solve on the assembled L) is alpha_z.
     # The gap is bounded in units of kappa * peak_norm, not relative: on
     # 1 -> 1 and 2 -> 2 the ground m = 0 state is dark and both alphas are
-    # about 1e-14 kappa
+    # about 1e-14 kappa. Near the floor the oracle's state is the 40-digit
+    # solve, not the SVD rule, which loses digits there and reads the
+    # corner (1.1e-3, 10) as degenerate
+    pytest.importorskip("mpmath")
     scheme = build_scheme(*line)
     kappa = cell.absorption_scale
     scale = kappa * parallel_dipole(scheme).peak_norm()
     for omega_p in (0.0, 5e-4, 1.1e-3, 0.01, 0.4, 3.0, 20.0):
         for delta_p in (0.0, 0.75, 3.0, 10.0):
-            try:
-                co = transport_coefficients(
-                    scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
-                                        delta_p=delta_p, delta_pr=delta_p),
-                    cell)
-            except DegenerateSteadyStateError:
-                # the SVD steady state reads a weak pump far off resonance
-                # as degenerate (a known fault of the nullity rule); of this
-                # grid only that corner does
-                assert (omega_p, delta_p) == (1.1e-3, 10.0)
-                continue
+            co = transport_coefficients(
+                scheme, FieldConfig(omega_p=omega_p, omega_pr=0.0,
+                                    delta_p=delta_p, delta_pr=delta_p),
+                cell)
             assert co.alpha_x == co.alpha_z
             if omega_p <= propagation._OMEGA_FLOOR:
                 continue
             L = build_liouvillian(pump_hamiltonian(scheme, omega_p, delta_p),
                                   build_collapse(scheme))
-            oracle = kappa * alpha_x_oracle(L.matrix, steady_state(L),
+            rho = steady_state_mp_oracle(L.matrix, scheme) \
+                if omega_p < 0.01 else steady_state(L)
+            oracle = kappa * alpha_x_oracle(L.matrix, rho,
                                             probe_raising(scheme))
             bound = 2e-8 if omega_p < 0.01 else 5e-10
             assert abs(oracle - co.alpha_z) <= bound * scale
+
+
+@pytest.mark.parametrize("line", BRIGHT, ids=lambda l: f"{l[0]:g}->{l[1]:g}")
+def test_weak_far_detuned_pump_answers(line, cell):
+    # just above the floor and ten linewidths off resonance the pumping
+    # rate is about 3e-9 Gamma, yet the state is unique: no
+    # DegenerateSteadyStateError, and finite coefficients
+    co = transport_coefficients(build_scheme(*line), FieldConfig(
+        omega_p=1.1e-3, omega_pr=0.0, delta_p=10.0, delta_pr=10.0), cell)
+    assert np.all(np.isfinite(list(vars(co).values())))
+    assert co.alpha_x == co.alpha_z
 
 
 def test_alpha_x_near_floor_matches_extended_precision(scheme8, cell):

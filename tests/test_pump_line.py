@@ -1,6 +1,8 @@
 """The memoized pump-only Liouvillian L(omega_p) = A + omega_p B of one line
-and detuning, and the block steady state it shares with ``steady_state``:
-bit for bit the assembled operator and the per-block route."""
+and detuning, bit for bit the assembled operator; its steady state by
+elimination onto the ground populations, against ``steady_state`` of that
+operator and a 40-digit solve; and ``steady_state``'s block route, bit for
+bit the per-block one."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from mirrorless import (DegenerateSteadyStateError, build_collapse,
 from mirrorless.dynamics import _pump_line
 
 from conftest import random_density_matrix
-from oracles import steady_state_blocks_oracle
+from oracles import steady_state_blocks_oracle, steady_state_mp_oracle
 from test_blocks import BRIGHT, LINES
 
 DARK = [line for line in LINES if line not in BRIGHT]
@@ -42,7 +44,25 @@ def test_memo_equals_assembly(line, omega_p, delta_p):
     rho, L_memo = pump_only_steady_state(scheme, omega_p, delta_p)
     assert L_memo.dim == L.dim
     assert np.array_equal(L_memo.matrix, L.matrix)
-    assert np.array_equal(rho, steady_state(L))
+    # the SVD route loses digits as its spectral gap, about
+    # omega_p^2 / (1 + 4 delta_p^2), closes; the elimination does not
+    bound = 1e-14 * (1 + 4 * delta_p ** 2) / min(omega_p, 1.0) ** 2
+    assert np.max(np.abs(rho - steady_state(L))) <= bound
+
+
+@pytest.mark.parametrize("line", BRIGHT)
+def test_state_matches_extended_precision(line):
+    # from a weak pump far off resonance, where the SVD rule saw a null
+    # space of dimension 3 to 36, to a strong one: within 1e-15 of the q = 0
+    # block of the same L solved in 40 digits
+    pytest.importorskip("mpmath")
+    scheme = build_scheme(*line)
+    for omega_p in (1e-5, 1.1e-3, 0.01, 2.0):
+        for delta_p in (0.0, 3.0, 10.0):
+            rho, L = pump_only_steady_state(scheme, omega_p, delta_p)
+            reference = steady_state_mp_oracle(L.matrix, scheme)
+            assert np.max(np.abs(rho - reference)) <= 1e-15
+            assert L.nullity == 1
 
 
 @pytest.mark.parametrize("delta_p", DELTAS)
@@ -88,8 +108,8 @@ def test_projection_unchanged(line, omega_p, rng):
 
 def test_memo_read_only_and_bounded(scheme8):
     line = _pump_line(scheme8, 0.5)
-    arrays = [line.A, line.B, *line.blocks,
-              *(a for group in line.groups for a in group)]
+    arrays = [line.A, line.B, line.P, line.Q, line.AQQ, line.BQQ, line.AQP,
+              line.BQP, line.APQ, line.BPQ, *line.blocks]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         line.A[0, 0] = 1.0
