@@ -10,10 +10,10 @@ mpmath). Two routes solve the same pump-only L:
 - ``elimination``: ``pump_only_steady_state``, which solves the block of
   the populations by exact elimination onto the ground populations and
   runs no SVD of L;
-- ``svd``: ``steady_state`` of L, one values-only SVD pass over L's blocks
-  and a full SVD of the block that holds the null vector, on a fresh
-  Liouvillian that holds the pump line's blocks (the pump-only path before
-  the elimination).
+- ``svd``: ``steady_state`` of L, one full SVD of each of L's blocks, on
+  a fresh Liouvillian that holds the pump line's blocks (the pump-only path
+  before the elimination took a values-only SVD pass over the blocks and a
+  full SVD of the block that held the null vector).
 
 ``cost`` times one point of each route on the 8-level (1 -> 2) and
 12-level (2 -> 3) lines at one operating point: ``warm`` is the median of

@@ -355,6 +355,14 @@ def parse_config(path: str) -> ScenarioConfig:
             parts["omega_p"]["saturation"], cfg.delta_p))
     if "delta_pr" in parts:
         cfg.delta_pr = cfg.delta_p + parts["delta_pr"]["offset"]
+    if workflow == "propagate" and pump:
+        try:
+            finite = np.isfinite(cell.intensity_from_omega_p(cfg.omega_p))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"{pump[0]}: the entry intensity "
+                              f"2 I_sat omega_p^2 overflows")
     _validate(cfg)
     return cfg
 
@@ -470,9 +478,9 @@ def _run_min_absorption(cfg: ScenarioConfig) -> ResultTable:
 
 def _run_propagate(cfg: ScenarioConfig) -> ResultTable:
     cell = cfg.cell
-    fields = FieldConfig(omega_p=cfg.omega_p, omega_pr=0.0,
-                         delta_p=cfg.delta_p, delta_pr=cfg.delta_p)
-    # with input_intensity, omega_p is 0 and propagate derives it from I0
+    # the entry pump is given once, as I0: propagate derives omega_p from it
+    fields = FieldConfig(omega_p=0.0, omega_pr=0.0, delta_p=cfg.delta_p,
+                         delta_pr=cfg.delta_p)
     I0 = (cell.intensity_from_omega_p(cfg.omega_p)
           if cfg.input_intensity is None else cfg.input_intensity)
     prof = propagate(cell, cfg.scheme(), fields, I_z0=I0,

@@ -12,17 +12,16 @@ algebra is block dense: the pi pump and the three decay channels conserve
 the coherence order q = m_i - m_j, so the pump-only L is block diagonal
 (for 2 -> 3 the largest block is 22 x 22).  A :class:`Liouvillian` finds
 its blocks from its nonzero pattern, so no symmetry is assumed (a field
-that mixes q merges them), and keeps them, stacked by size, with the
-singular values that decide its null space: no caller works them out
-again.  Each block is factorized on its own and the results are scattered
-back into the full vector.  The steady state of a general L comes from
-those singular values and the singular vectors of the blocks that hold
-the null space.  The pump-only state needs neither: a scan over the pump
-strength assembles L = A + omega_p B once per line and detuning, and each
-pump strength eliminates the block of the populations onto the ground
-populations, whose rate matrix is at most 7 x 7.  Time evolution samples
-a uniform grid, stepping with one exact propagator e^{L dt} (scaling and
-squaring) of the whole L.
+that mixes q merges them), and keeps them with the singular value
+decomposition of each, which decides its null space: no caller works them
+out again.  Each block is factorized on its own and the results are
+scattered back into the full vector.  The steady state of a general L
+comes from those decompositions.  The pump-only state needs none: a scan
+over the pump strength assembles L = A + omega_p B once per line and
+detuning, and each pump strength eliminates the block of the populations
+onto the ground populations, whose rate matrix is at most 7 x 7.  Time
+evolution samples a uniform grid, stepping with one exact propagator
+e^{L dt} (scaling and squaring) of the whole L.
 """
 
 from __future__ import annotations
@@ -52,9 +51,9 @@ class DegenerateSteadyStateError(RuntimeError):
 @dataclass(frozen=True)
 class Liouvillian:
     """Dense superoperator generating the Lindblad dynamics.  The matrix is
-    not changed once built: its blocks, their stacks, the singular values
-    that decide its null space and its nullity are worked out at most once,
-    on first use, unless :func:`pump_only_steady_state` set them."""
+    not changed once built: its blocks, their singular value decompositions
+    and its nullity are worked out at most once, on first use, unless
+    :func:`pump_only_steady_state` set them."""
 
     matrix: np.ndarray  # (d*d, d*d) complex
     dim: int
@@ -70,37 +69,22 @@ class Liouvillian:
         return _components(self.matrix != 0)
 
     @cached_property
-    def groups(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """Per block size, ascending: the numbers of the blocks of that
-        size and their index sets stacked into one (count, size) array."""
-        sizes = np.array([len(b) for b in self.blocks])
-        members = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
-        return tuple((m, np.array([self.blocks[k] for k in m]))
-                     for m in members)
-
-    @cached_property
-    def stacks(self) -> Tuple[np.ndarray, ...]:
-        """The diagonal blocks, one (count, size, size) stack per group."""
-        return tuple(self.matrix[idx[:, :, None], idx[:, None, :]]
-                     for _, idx in self.groups)
-
-    @cached_property
-    def singular_values(self) -> Tuple[Tuple[np.ndarray, ...], float]:
-        """The singular values of each stack, one values-only pass per
-        stack, and the bound at or below which they span the null space:
-        1e-10 of the largest, and the smallest one always counts."""
-        svals = tuple(np.linalg.svd(S, compute_uv=False)
-                      for S in self.stacks)
-        scale = max(float(s.max()) for s in svals) or 1.0
-        floor = min(float(s.min()) for s in svals)
-        return svals, max(_NULL_REL_TOL * scale, floor)
+    def block_svds(self) -> Tuple[Tuple[Tuple[np.ndarray, ...], ...], float]:
+        """The SVD (U, s, V^H) of each block, in the order of ``blocks``,
+        and the bound at or below which the singular values span the null
+        space: 1e-10 of the largest, and the smallest one always counts."""
+        parts = tuple(np.linalg.svd(self.matrix[np.ix_(b, b)])
+                      for b in self.blocks)
+        scale = max(float(s[0]) for _, s, _ in parts) or 1.0
+        floor = min(float(s[-1]) for _, s, _ in parts)
+        return parts, max(_NULL_REL_TOL * scale, floor)
 
     @cached_property
     def nullity(self) -> int:
         """Dimension of the null space, by the rule of :func:`steady_state`;
         :func:`pump_only_steady_state` sets it to 1 with no SVD of L."""
-        svals, thresh = self.singular_values
-        return sum(int(np.count_nonzero(s <= thresh)) for s in svals)
+        parts, thresh = self.block_svds
+        return sum(int(np.count_nonzero(s <= thresh)) for _, s, _ in parts)
 
 
 @dataclass(frozen=True)
@@ -198,9 +182,10 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
     [0, t_final].
 
     Each sample is the previous one times the exact propagator e^{L dt} of
-    one grid step, a single matrix exponential.  The per-sample invariant
-    repair is limited to re-Hermitization; trace drift is left observable
-    as a diagnostic.
+    one grid step, a single matrix exponential; RuntimeError if that
+    propagator is not finite (its squarings overflow when |L| dt is
+    extreme).  The per-sample invariant repair is limited to
+    re-Hermitization; trace drift is left observable as a diagnostic.
     """
     d = L.dim
     rho0 = np.asarray(rho0, dtype=complex)
@@ -208,7 +193,11 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
         raise ValueError("initial state dimension mismatch")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    step = expm(L.matrix * (t_final / (n_samples - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = expm(L.matrix * (t_final / (n_samples - 1)))
+    if not np.all(np.isfinite(step)):
+        raise RuntimeError("the one-step propagator e^{L dt} is not finite: "
+                           "|L| dt is too large for double precision")
     states = np.empty((n_samples, d, d), dtype=complex)
     states[0] = rho0
     for k in range(1, n_samples):
@@ -230,12 +219,10 @@ def steady_state(L: Liouvillian, mode: str = "unique",
 
     L is block diagonal (see :attr:`Liouvillian.blocks`), so its SVD is
     the union of one SVD per block, each block's singular vectors scattered
-    into the full space.  The null space is spanned by the right singular
-    vectors V0 whose singular values fall below 1e-10 of the largest (the
-    smallest one always counts).  The singular values are L's
-    :attr:`Liouvillian.singular_values`, one values-only pass over the
-    blocks stacked by size; only the blocks that hold a null vector are
-    decomposed in full.
+    into the full space; L keeps them as :attr:`Liouvillian.block_svds`.
+    The null space is spanned by the right singular vectors V0 whose
+    singular values fall below 1e-10 of the largest (the smallest one always
+    counts), ranked by (value, block, position in the block).
     mode='unique' (default) requires it to be one-dimensional and raises
     :class:`DegenerateSteadyStateError` (carrying the measured dimension)
     otherwise.  mode='project' returns the infinite-time limit reached from
@@ -246,18 +233,9 @@ def steady_state(L: Liouvillian, mode: str = "unique",
     if mode not in ("unique", "project"):
         raise ValueError(f"unknown steady-state mode {mode!r}")
     d, n = L.dim, L.dim * L.dim
-    svals, thresh = L.singular_values
-    # (singular value, block, position in the block) of the null space,
-    # ascending, from the full SVD of each block that holds part of it
-    ranked, parts = [], {}
-    for (members, _), S, s in zip(L.groups, L.stacks, svals):
-        for j in np.flatnonzero(s[:, -1] <= thresh):
-            k = int(members[j])
-            parts[k] = np.linalg.svd(S[j])
-            size, null = len(s[j]), np.count_nonzero(s[j] <= thresh)
-            ranked += [(parts[k][1][i], k, i)
-                       for i in range(size - null, size)]
-    ranked.sort()
+    parts, thresh = L.block_svds
+    ranked = sorted((v, k, i) for k, (_, s, _) in enumerate(parts)
+                    for i, v in enumerate(s) if v <= thresh)
     nullity = len(ranked)
     if nullity > 1 and mode != "project":
         raise DegenerateSteadyStateError(nullity)

@@ -216,7 +216,8 @@ def propagate(cell: CellConfig, scheme: LevelScheme, fields: FieldConfig,
 
     The entry pump is ``fields.omega_p``, or the Rabi frequency of ``I_z0``
     if that is 0; a positive ``fields.omega_p`` that differs from it by
-    more than 1e-9 relative is a ValueError.
+    more than 1e-9 relative is a ValueError.  The ``simulate`` command
+    gives it once, as ``I_z0`` with ``fields.omega_p = 0``.
     mode='closed_form' evaluates the analytic solution with alpha and the
     sources frozen at the entry steady state.
     mode='numeric' steps the grid: each step of length h maps

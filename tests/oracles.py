@@ -37,9 +37,8 @@ library code it checks:
   144 x 144 (at most) Liouvillian (the library factorizes its diagonal
   blocks one by one).  ``steady_state_blocks_oracle`` decomposes every
   diagonal block in full, blocks found by scipy's connected components (the
-  library finds them by label propagation, reads the singular values from
-  one values-only pass per block size and decomposes only the blocks that
-  hold the null space).
+  library finds them by label propagation and keeps each block's SVD on
+  the Liouvillian).
 * ``steady_state_mp_oracle`` solves the q = 0 block of a pump-only L with
   the trace row, by Gaussian elimination in 40-digit mpmath (the library
   eliminates that block onto the ground populations in double precision).

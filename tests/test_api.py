@@ -94,8 +94,8 @@ def test_every_definition_is_used_by_the_program_or_the_benchmark():
 
 
 def test_layers_use_no_private_name_of_dynamics():
-    # the spectra solve on what a Liouvillian holds, its blocks, stacks and
-    # nullity; they and the transport reach the pump line only through
+    # the spectra solve on what a Liouvillian holds, its blocks and nullity;
+    # they and the transport reach the pump line only through
     # pump_only_steady_state
     offenders = []
     for name in ("spectra.py", "propagation.py"):

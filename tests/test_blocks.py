@@ -134,7 +134,7 @@ def test_regression_searches_no_pattern(monkeypatch, scheme12, make_dipole):
 def test_gain_spectrum_measures_the_null_space_once(monkeypatch, scheme12):
     # the steady state measures the null space on the 5 x 5 ground rate
     # matrix, and the weak-probe guard reads the nullity it set on L: no
-    # values-only SVD of L's stacks
+    # SVD of L's blocks
     passes = _counted(monkeypatch, np.linalg, "svd",
                       lambda *a, **k: k.get("compute_uv") is False)
     perpendicular_gain_spectrum(
@@ -148,7 +148,7 @@ def test_pump_only_state_runs_no_svd_of_the_liouvillian(monkeypatch,
     # the pump-only path is its own exported entry (a tracer that wraps
     # the exported functions sees it as dynamics.pump_only_steady_state):
     # it calls no steady_state, decomposes none of L's blocks, and leaves
-    # L's singular values unmeasured
+    # L's block SVDs unmeasured
     assert "pump_only_steady_state" in mirrorless.__all__
     calls = _counted(monkeypatch, dynamics, "steady_state")
     svds = _counted(monkeypatch, np.linalg, "svd")
@@ -157,7 +157,27 @@ def test_pump_only_state_runs_no_svd_of_the_liouvillian(monkeypatch,
         omega_p=2.0, omega_pr=0.0, delta_p=0.75, delta_pr=0.75), CELL)
     assert calls == []
     assert [a[0].shape for a in svds] == [(3, 3)] * 2
-    assert L.nullity == 1 and "singular_values" not in vars(L)
+    assert L.nullity == 1 and "block_svds" not in vars(L)
+
+
+@pytest.mark.parametrize("line, mode", [((2, 3), "unique"),
+                                        ((2, 1), "project")])
+def test_steady_state_decomposes_each_block_once(monkeypatch, line, mode):
+    # the nullity and every steady state of one L read one memo: a full SVD
+    # of each block, and no values-only pass
+    scheme = build_scheme(*line)
+    L = _liouvillian(scheme, 2.0, 0.75)
+    svds = _counted(monkeypatch, np.linalg, "svd",
+                    lambda *a, **k: k.get("compute_uv", True))
+    values_only = _counted(monkeypatch, np.linalg, "svd",
+                           lambda *a, **k: not k.get("compute_uv", True))
+    rho0 = equal_ground_state(scheme)
+    assert (L.nullity > 1) == (mode == "project")
+    states = [steady_state(L, mode, rho0) for _ in range(2)]
+    assert np.array_equal(*states)
+    assert values_only == []
+    assert sorted(a[0].shape for a in svds) \
+        == sorted((len(b), len(b)) for b in L.blocks)
 
 
 @pytest.mark.parametrize("line, omega_p, delta_p",

@@ -701,6 +701,35 @@ def scenario_text(workflow, section=None, key=None, value=None):
                    for name, keys in sections.items())
 
 
+@pytest.mark.parametrize("workflow, omega_p", [
+    ("populations", "1e20"),  # the propagator e^{L dt} overflows
+    ("propagate", "1e-200"),  # the entry intensity underflows to 0
+    ("propagate", "1e-160"),  # ... to a subnormal
+    ("propagate", "1e160"),   # ... overflows
+])
+def test_extreme_pump_keeps_the_exit_contract(tmp_path, capsys, workflow,
+                                              omega_p):
+    # a valid but extreme pump writes finite values, or exits 2 or 3 with
+    # a message: never a traceback, never a nan
+    from mirrorless.cli import main
+    out = tmp_path / "out.csv"
+    path = write_config(tmp_path, scenario_text(workflow, "fields",
+                                                "omega_p", omega_p))
+    code = main([path, "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG)
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        rows = [l for l in out.read_text().splitlines()
+                if not l.startswith("#")][2:]
+        values = np.array([[float(v) for v in l.split(",")] for l in rows])
+        assert values.size and np.all(np.isfinite(values))
+    elif code == EXIT_CONFIG:
+        assert err.startswith("config error: [fields] omega_p")
+    else:
+        assert err.startswith(f"numerical failure ({workflow})")
+
+
 def test_parallel_spectrum_accepts_n_harmonics(tmp_path):
     # the spectrum workflow reads n_harmonics; that its parallel branch has
     # no use for it is not a configuration error

@@ -69,8 +69,8 @@ def test_state_matches_extended_precision(line):
 @pytest.mark.parametrize("omega_p", OMEGAS)
 @pytest.mark.parametrize("line", BRIGHT)
 def test_blocked_state_equals_per_block_route(line, omega_p, delta_p):
-    # the values-only pass picks the same null vector as decomposing every
-    # block in full
+    # L's memoized block SVDs pick the same null vector as the oracle's,
+    # which finds the blocks with scipy
     L = _assembled(build_scheme(*line), omega_p, delta_p)
     assert np.array_equal(steady_state(L),
                           steady_state_blocks_oracle(L.matrix))
