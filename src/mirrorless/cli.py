@@ -344,15 +344,26 @@ def parse_config(path: str) -> ScenarioConfig:
 
     try:
         cell = CellConfig.pencil(**parts["cell"]) if "cell" in parts else None
+        scales = (cell.saturation_intensity, cell.absorption_scale) \
+            if cell else ()
+    except ArithmeticError:  # a Python float overflowed or divided by 0
+        scales = (0.0,)
     except ValueError as exc:
         raise ConfigError(f"[cell] {exc}") from exc
+    if not all(0.0 < s < np.inf for s in scales):
+        raise ConfigError("[cell] a derived scale (solid angle, saturation "
+                          "intensity or absorption scale) is 0 or not finite")
     cfg = ScenarioConfig(**config, cell=cell,
                          **{n: _grid(n, p) for n, p in parts.items()
                             if n.endswith("_grid")},
                          source_sha256=hashlib.sha256(raw).hexdigest())
     if "omega_p" in parts:
-        cfg.omega_p = float(omega_from_saturation(
-            parts["omega_p"]["saturation"], cfg.delta_p))
+        try:
+            cfg.omega_p = float(omega_from_saturation(
+                parts["omega_p"]["saturation"], cfg.delta_p))
+        except OverflowError as exc:
+            raise ConfigError("[fields] saturation: omega_p overflows") \
+                from exc
     if "delta_pr" in parts:
         cfg.delta_pr = cfg.delta_p + parts["delta_pr"]["offset"]
     if workflow == "propagate" and pump:
@@ -519,6 +530,8 @@ def run(cfg: ScenarioConfig) -> ResultTable:
         "output-curve": _run_output_curve,
     }
     table = dispatch[cfg.workflow](cfg)
+    if not np.all(np.isfinite(table.rows)):
+        raise RuntimeError("the result table holds a non-finite value")
     prov = {"tool": f"mirrorless {__version__}",
             "workflow": cfg.workflow,
             "config_sha256": cfg.source_sha256}
@@ -584,6 +597,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # CorrelationWindowError is a RuntimeError
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure ({cfg.workflow}): {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:  # a Python float overflowed
+        print(f"numerical failure ({cfg.workflow}): {type(exc).__name__}: "
+              f"a value left the double-precision range", file=sys.stderr)
         return EXIT_NUMERICAL
 
     if path:

@@ -14,14 +14,14 @@ the coherence order q = m_i - m_j, so the pump-only L is block diagonal
 its blocks from its nonzero pattern, so no symmetry is assumed (a field
 that mixes q merges them), and keeps them with the singular value
 decomposition of each, which decides its null space: no caller works them
-out again.  Each block is factorized on its own and the results are
-scattered back into the full vector.  The steady state of a general L
-comes from those decompositions.  The pump-only state needs none: a scan
-over the pump strength assembles L = A + omega_p B once per line and
-detuning, and each pump strength eliminates the block of the populations
-onto the ground populations, whose rate matrix is at most 7 x 7.  Time
-evolution samples a uniform grid, stepping with one exact propagator
-e^{L dt} (scaling and squaring) of the whole L.
+out again.  The steady state of a general L is the one null vector of
+those decompositions, scattered back into the full vector; a null space
+of higher dimension raises.  The pump-only state needs no decomposition
+of L: a scan over the pump strength assembles L = A + omega_p B once per
+line and detuning, and each pump strength eliminates the block of the
+populations onto the ground populations, whose rate matrix is at most
+7 x 7.  Time evolution samples a uniform grid, stepping with one exact
+propagator e^{L dt} (scaling and squaring) of the whole L.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .levels import (CollapseChannels, LevelScheme, build_collapse,
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """Raised when the Liouvillian null space is multi-dimensional."""
+    """Raised when the Liouvillian null space, of dimension ``dimension``,
+    is multi-dimensional: the steady state depends on the start."""
 
     def __init__(self, dimension: int):
         super().__init__(
             f"Liouvillian null space has dimension {dimension}; the steady "
-            f"state is not unique (undriven or dark manifold). Use "
-            f"steady_state(..., mode='project', rho0=...) instead.")
+            f"state is not unique (undriven or dark manifold)")
         self.dimension = dimension
 
 
@@ -177,15 +177,15 @@ class Evolution:
 
 
 def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
-           hermitize: bool = True, n_samples: int = 201) -> Evolution:
+           n_samples: int = 201) -> Evolution:
     """Propagate rho0 under L, sampled at ``n_samples`` uniform times on
     [0, t_final].
 
     Each sample is the previous one times the exact propagator e^{L dt} of
     one grid step, a single matrix exponential; RuntimeError if that
     propagator is not finite (its squarings overflow when |L| dt is
-    extreme).  The per-sample invariant repair is limited to
-    re-Hermitization; trace drift is left observable as a diagnostic.
+    extreme).  Every sample is re-Hermitized, the only invariant repair;
+    trace drift is left observable as a diagnostic.
     """
     d = L.dim
     rho0 = np.asarray(rho0, dtype=complex)
@@ -202,7 +202,7 @@ def evolve(L: Liouvillian, rho0: np.ndarray, t_final: float,
     states[0] = rho0
     for k in range(1, n_samples):
         rho = (step @ states[k - 1].reshape(-1)).reshape(d, d)
-        states[k] = 0.5 * (rho + rho.conj().T) if hermitize else rho
+        states[k] = 0.5 * (rho + rho.conj().T)
     return Evolution(times=np.linspace(0.0, t_final, n_samples),
                      states=states)
 
@@ -213,45 +213,26 @@ _NULL_REL_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
 
 
-def steady_state(L: Liouvillian, mode: str = "unique",
-                 rho0: Optional[np.ndarray] = None) -> np.ndarray:
+def steady_state(L: Liouvillian) -> np.ndarray:
     """Solve L[rho] = 0 with Tr rho = 1 from the SVD L = U S V^H.
 
     L is block diagonal (see :attr:`Liouvillian.blocks`), so its SVD is
-    the union of one SVD per block, each block's singular vectors scattered
-    into the full space; L keeps them as :attr:`Liouvillian.block_svds`.
-    The null space is spanned by the right singular vectors V0 whose
-    singular values fall below 1e-10 of the largest (the smallest one always
-    counts), ranked by (value, block, position in the block).
-    mode='unique' (default) requires it to be one-dimensional and raises
-    :class:`DegenerateSteadyStateError` (carrying the measured dimension)
-    otherwise.  mode='project' returns the infinite-time limit reached from
-    ``rho0``, P rho0 with the spectral projector P = V0 (U0^H V0)^-1 U0^H
-    onto the kernel along the range of L (U0: the left null vectors).
-    Any other ``mode`` raises ValueError.
+    the union of one SVD per block, which L keeps as
+    :attr:`Liouvillian.block_svds`.  Its singular values below 1e-10 of the
+    largest (the smallest one always counts) span the null space; a
+    dimension above 1 raises :class:`DegenerateSteadyStateError`.  The
+    state is the last right singular vector of the block whose last
+    singular value is smallest.
     """
-    if mode not in ("unique", "project"):
-        raise ValueError(f"unknown steady-state mode {mode!r}")
-    d, n = L.dim, L.dim * L.dim
-    parts, thresh = L.block_svds
-    ranked = sorted((v, k, i) for k, (_, s, _) in enumerate(parts)
-                    for i, v in enumerate(s) if v <= thresh)
-    nullity = len(ranked)
-    if nullity > 1 and mode != "project":
-        raise DegenerateSteadyStateError(nullity)
-    if nullity > 1 and rho0 is None:
-        raise ValueError("mode='project' requires an initial state rho0")
-    U0, V0 = np.zeros((2, n, nullity), dtype=complex)
-    for j, (_, k, i) in enumerate(ranked):
-        b, (U, _, Vh) = L.blocks[k], parts[k]
-        U0[b, j], V0[b, j] = U[:, i], Vh[i].conj()
-    if nullity == 1:
-        # the SVD fixes no phase: divide by the complex trace first
-        rho = unvectorize(V0[:, 0], d)
-        return _checked(L, rho / np.trace(rho))
-    U0h = U0.conj().T
-    coeff = np.linalg.solve(U0h @ V0, U0h @ vectorize(rho0))
-    return _checked(L, unvectorize(V0 @ coeff, d))
+    if L.nullity > 1:
+        raise DegenerateSteadyStateError(L.nullity)
+    parts, _ = L.block_svds
+    k = min(range(len(parts)), key=lambda k: parts[k][1][-1])
+    vec = np.zeros(L.dim * L.dim, dtype=complex)
+    vec[L.blocks[k]] = parts[k][2][-1].conj()
+    # the SVD fixes no phase: divide by the complex trace first
+    rho = unvectorize(vec, L.dim)
+    return _checked(L, rho / np.trace(rho))
 
 
 def _checked(L: Liouvillian, rho: np.ndarray) -> np.ndarray:
@@ -269,16 +250,17 @@ def _checked(L: Liouvillian, rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _PumpLine:
     """The pump-only Liouvillian of one line at one pump detuning,
-    L(omega_p) = A + omega_p B, and the slices of A and B that eliminate
-    the block of the populations onto the ground populations.
+    L(omega_p) = A + omega_p B, and the block of A and of B that
+    eliminates the populations onto the ground populations.
 
     A holds the detuning and the decay, B the pi-pump commutator at unit
     Rabi frequency; no entry is in both.  ``blocks`` (as of
     :class:`Liouvillian`) are those of their joint pattern.  ``P`` are the
     vec indices of the ground populations and ``Q`` the rest of the blocks
-    that hold them; ``AQQ`` is A[Q, Q], ``BQP`` is B[Q, P] and so on.  L
-    has no P -> P entry (a ground population changes only through the
-    excited states and the optical coherences), so those slices are all of
+    that hold them; ``A_block`` and ``B_block`` are A and B on those
+    indices, Q first, then P.  L has no P -> P entry (a ground population
+    changes only through the excited states and the optical coherences),
+    so L_QQ, L_QP and L_PQ, read off A_block + omega_p B_block, are all of
     L that a pump-only steady state needs.  Every array is read-only.
     """
 
@@ -288,12 +270,8 @@ class _PumpLine:
     blocks: Tuple[np.ndarray, ...]
     P: np.ndarray
     Q: np.ndarray
-    AQQ: np.ndarray
-    BQQ: np.ndarray
-    AQP: np.ndarray
-    BQP: np.ndarray
-    APQ: np.ndarray
-    BPQ: np.ndarray
+    A_block: np.ndarray
+    B_block: np.ndarray
 
     def liouvillian(self, omega_p: float) -> Liouvillian:
         """L at ``omega_p``, already holding the line's blocks."""
@@ -321,10 +299,10 @@ def _pump_line(scheme: LevelScheme, delta_p: float) -> _PumpLine:
     P = np.array(scheme.ground_indices) * (scheme.dim + 1)
     Q = np.setdiff1d(np.concatenate(
         [b for b in L.blocks if np.isin(b, P).any()]), P)
-    QQ, QP, PQ = np.ix_(Q, Q), np.ix_(Q, P), np.ix_(P, Q)
+    QP = np.concatenate([Q, P])
+    block = np.ix_(QP, QP)
     line = _PumpLine(dim=scheme.dim, A=A, B=B, blocks=L.blocks, P=P, Q=Q,
-                     AQQ=A[QQ], BQQ=B[QQ], AQP=A[QP], BQP=B[QP], APQ=A[PQ],
-                     BPQ=B[PQ])
+                     A_block=A[block], B_block=B[block])
     for a in (*(v for v in vars(line).values() if isinstance(v, np.ndarray)),
               *line.blocks):
         a.flags.writeable = False
@@ -350,9 +328,10 @@ def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
     in :func:`steady_state`."""
     line = _pump_line(scheme, float(delta_p))
     L = line.liouvillian(omega_p)
-    X = np.linalg.solve(line.AQQ + omega_p * line.BQQ,
-                        line.AQP + omega_p * line.BQP)
-    R = -(line.APQ + omega_p * line.BPQ) @ X
+    n = len(line.Q)
+    M = line.A_block + omega_p * line.B_block
+    X = np.linalg.solve(M[:n, :n], M[:n, n:])
+    R = -M[n:, :n] @ X
     s = np.linalg.svd(R, compute_uv=False)
     if np.count_nonzero(s <= max(_NULL_REL_TOL * s[0], s[-1])) > 1:
         raise DegenerateSteadyStateError(L.nullity)

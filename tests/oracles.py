@@ -35,10 +35,11 @@ library code it checks:
   forms of the library's steady state and regression spectrum: one SVD, and
   one ordered Schur form with one triangular solve per offset, of the whole
   144 x 144 (at most) Liouvillian (the library factorizes its diagonal
-  blocks one by one).  ``steady_state_blocks_oracle`` decomposes every
+  blocks one by one).  ``block_null_vectors_oracle`` decomposes every
   diagonal block in full, blocks found by scipy's connected components (the
   library finds them by label propagation and keeps each block's SVD on
-  the Liouvillian).
+  the Liouvillian), and ``steady_state_blocks_oracle`` is the state from
+  its one null vector.
 * ``steady_state_mp_oracle`` solves the q = 0 block of a pump-only L with
   the trace row, by Gaussian elimination in 40-digit mpmath (the library
   eliminates that block onto the ground populations in double precision).
@@ -457,47 +458,44 @@ def weak_probe_full_oracle(L0, v_plus, deltas, n_harmonics):
     return np.array(out)
 
 
-def steady_state_oracle(L, mode="unique", rho0=None):
-    """Null vector(s) of the whole L from one SVD, with the definitions of
+def steady_state_oracle(L):
+    """Null vector of the whole L from one SVD, with the definitions of
     ``steady_state``: singular values below 1e-10 of the largest span the
-    null space; 'project' applies V0 (U0^H V0)^-1 U0^H to rho0."""
+    null space, which must be one-dimensional."""
     d = int(round(np.sqrt(L.shape[0])))
-    U, s, Vh = np.linalg.svd(L)
+    _, s, Vh = np.linalg.svd(L)
     nullity = max(1, int(np.sum(s <= 1e-10 * s[0])))
-    if nullity == 1:
-        rho = Vh[-1].conj().reshape(d, d)
-        rho = rho / np.trace(rho)
-    else:
-        assert mode == "project", f"null space of dimension {nullity}"
-        U0h, V0 = U[:, -nullity:].conj().T, Vh[-nullity:].conj().T
-        rho = (V0 @ np.linalg.solve(U0h @ V0, U0h @ rho0.reshape(-1))
-               ).reshape(d, d)
+    assert nullity == 1, f"null space of dimension {nullity}"
+    rho = Vh[-1].conj().reshape(d, d)
+    rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-def steady_state_blocks_oracle(L, mode="unique", rho0=None):
-    """``steady_state_oracle`` from one full SVD per diagonal block of L,
-    the null singular vectors ranked by (value, block, position)."""
-    d = int(round(np.sqrt(L.shape[0])))
+def block_null_vectors_oracle(L):
+    """Right null vectors of L, one row each, from one full SVD per
+    diagonal block: singular values below 1e-10 of the largest, and at
+    least one, ranked by (value, block, position) and scattered into the
+    full space."""
     count, labels = connected_components(L != 0, connection="weak")
     blocks = [np.flatnonzero(labels == k) for k in range(count)]
     parts = [np.linalg.svd(L[np.ix_(b, b)]) for b in blocks]
     ranked = sorted((sv, k, i) for k, (_, s, _) in enumerate(parts)
                     for i, sv in enumerate(s))
     nullity = max(1, sum(sv <= 1e-10 * ranked[-1][0] for sv, _, _ in ranked))
-    U0, V0 = np.zeros((2, d * d, nullity), dtype=complex)
+    vectors = np.zeros((nullity, len(L)), dtype=complex)
     for j, (_, k, i) in enumerate(ranked[:nullity]):
-        U, _, Vh = parts[k]
-        U0[blocks[k], j], V0[blocks[k], j] = U[:, i], Vh[i].conj()
-    if nullity == 1:
-        rho = V0[:, 0].reshape(d, d)
-        rho = rho / np.trace(rho)
-    else:
-        assert mode == "project", f"null space of dimension {nullity}"
-        U0h = U0.conj().T
-        rho = (V0 @ np.linalg.solve(U0h @ V0, U0h @ rho0.reshape(-1))
-               ).reshape(d, d)
+        vectors[j, blocks[k]] = parts[k][2][i].conj()
+    return vectors
+
+
+def steady_state_blocks_oracle(L):
+    """``steady_state_oracle`` from ``block_null_vectors_oracle``."""
+    d = int(round(np.sqrt(L.shape[0])))
+    vectors = block_null_vectors_oracle(L)
+    assert len(vectors) == 1, f"null space of dimension {len(vectors)}"
+    rho = vectors[0].reshape(d, d)
+    rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return rho

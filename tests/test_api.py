@@ -15,7 +15,7 @@ import mirrorless
 
 REMOVED = ("gamma", "tol", "t_max", "decay_rel_tol", "null_rel_tol",
            "residual_tol", "n_refine", "bisect_rel_tol", "t_eval",
-           "normalized", "i_sat_ref", "signed")
+           "normalized", "i_sat_ref", "signed", "hermitize")
 
 
 def test_no_removed_parameters():

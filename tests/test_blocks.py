@@ -7,18 +7,17 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 import mirrorless
-from mirrorless import (CellConfig, FieldConfig, Liouvillian, build_collapse,
-                        build_liouvillian, build_scheme, dynamics,
-                        equal_ground_state, perpendicular_gain_spectrum,
-                        pump_only_steady_state, steady_state,
-                        transport_coefficients)
+from mirrorless import (CellConfig, DegenerateSteadyStateError, FieldConfig,
+                        Liouvillian, build_collapse, build_liouvillian,
+                        build_scheme, dynamics, equal_ground_state,
+                        perpendicular_gain_spectrum, pump_only_steady_state,
+                        steady_state, transport_coefficients)
 from mirrorless.dynamics import _pump_line
 from mirrorless.levels import probe_raising, pump_hamiltonian
 from mirrorless.spectra import (_commutator_superoperator,
                                 correlation_spectrum, parallel_dipole,
                                 perpendicular_dipole, weak_probe_absorption)
 
-from conftest import random_density_matrix
 from oracles import (regression_oracle, steady_state_oracle,
                      two_level_collapse, two_level_dipole,
                      two_level_hamiltonian, weak_probe_full_oracle)
@@ -160,21 +159,24 @@ def test_pump_only_state_runs_no_svd_of_the_liouvillian(monkeypatch,
     assert L.nullity == 1 and "block_svds" not in vars(L)
 
 
-@pytest.mark.parametrize("line, mode", [((2, 3), "unique"),
-                                        ((2, 1), "project")])
-def test_steady_state_decomposes_each_block_once(monkeypatch, line, mode):
+@pytest.mark.parametrize("line", [(2, 3), (2, 1)])
+def test_steady_state_decomposes_each_block_once(monkeypatch, line):
     # the nullity and every steady state of one L read one memo: a full SVD
-    # of each block, and no values-only pass
+    # of each block, and no values-only pass; on the dark 2 -> 1 line both
+    # steady states raise
     scheme = build_scheme(*line)
     L = _liouvillian(scheme, 2.0, 0.75)
     svds = _counted(monkeypatch, np.linalg, "svd",
                     lambda *a, **k: k.get("compute_uv", True))
     values_only = _counted(monkeypatch, np.linalg, "svd",
                            lambda *a, **k: not k.get("compute_uv", True))
-    rho0 = equal_ground_state(scheme)
-    assert (L.nullity > 1) == (mode == "project")
-    states = [steady_state(L, mode, rho0) for _ in range(2)]
-    assert np.array_equal(*states)
+    if L.nullity == 1:
+        assert np.array_equal(steady_state(L), steady_state(L))
+    else:
+        for _ in range(2):
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(L)
+    assert (L.nullity > 1) == (line == (2, 1))
     assert values_only == []
     assert sorted(a[0].shape for a in svds) \
         == sorted((len(b), len(b)) for b in L.blocks)
@@ -188,18 +190,6 @@ def test_steady_state_matches_full_svd(line, omega_p, delta_p):
     for L in (_liouvillian(scheme, omega_p, delta_p),
               _liouvillian(scheme, omega_p, delta_p, 0.1)):
         assert _close(steady_state(L), steady_state_oracle(L.matrix))
-
-
-@pytest.mark.parametrize("line, omega_p", [((2, 1), 2.0), ((1.5, 0.5), 2.0),
-                                           ((1, 2), 0.0)])
-def test_projection_matches_full_svd(line, omega_p, rng):
-    # pumped dark lines (null space 4) and an undriven line (null space 9)
-    scheme = build_scheme(*line)
-    L = _liouvillian(scheme, omega_p, 0.5)
-    for rho0 in (equal_ground_state(scheme),
-                 random_density_matrix(rng, scheme.dim)):
-        rho = steady_state(L, mode="project", rho0=rho0)
-        assert _close(rho, steady_state_oracle(L.matrix, "project", rho0))
 
 
 def _spectrum_cases():

@@ -355,6 +355,8 @@ INVALID_VALUES = [
     # the cell is given by wavelength and beam radius only
     (MINIMAL_PROPAGATE, "grid_points = 11",
      "grid_points = 11\nsolid_angle_sr = 0.01", "solid_angle_sr"),
+    # S fixes omega_p^2 = S (1/4 + delta_p^2), which overflows here
+    (MINIMAL_POPULATIONS, "delta_p = 0", "delta_p = 1e200", "saturation"),
 ]
 
 
@@ -701,20 +703,36 @@ def scenario_text(workflow, section=None, key=None, value=None):
                    for name, keys in sections.items())
 
 
-@pytest.mark.parametrize("workflow, omega_p", [
-    ("populations", "1e20"),  # the propagator e^{L dt} overflows
-    ("propagate", "1e-200"),  # the entry intensity underflows to 0
-    ("propagate", "1e-160"),  # ... to a subnormal
-    ("propagate", "1e160"),   # ... overflows
+def _pump(workflow, omega_p):
+    return pytest.param(workflow, "fields", "omega_p", omega_p,
+                        id=f"{workflow}-{omega_p}")
+
+
+@pytest.mark.parametrize("workflow, section, key, value", [
+    _pump("populations", "1e20"),  # the propagator e^{L dt} overflows
+    _pump("propagate", "1e-200"),  # the entry intensity underflows to 0
+    _pump("propagate", "1e-160"),  # ... to a subnormal
+    _pump("propagate", "1e160"),   # ... overflows
+    # delta_p^2 overflows: in omega_from_saturation, in the unpumped floor
+    ("inversion-scan", "fields", "delta_p", "1e200"),
+    ("output-curve", "fields", "delta_p", "1e200"),
+    # the solid angle pi r^2 / L^2 overflows or divides by 0
+    ("propagate", "cell", "length_m", "1e300"),
+    ("propagate", "cell", "beam_radius_m", "1e300"),
+    ("propagate", "cell", "length_m", "1e-300"),
+    # mu_red^2 underflows to 0, or the absorption scale overflows
+    ("propagate", "cell", "gamma_rad_s", "1e-300"),
+    ("propagate", "cell", "wavelength_m", "1e-300"),
+    ("propagate", "cell", "density_m3", "1e300"),
 ])
 def test_extreme_pump_keeps_the_exit_contract(tmp_path, capsys, workflow,
-                                              omega_p):
-    # a valid but extreme pump writes finite values, or exits 2 or 3 with
-    # a message: never a traceback, never a nan
+                                              section, key, value):
+    # a valid but extreme key writes finite values, or exits 2 or 3 with
+    # a message: never a traceback, never a nan or an inf
     from mirrorless.cli import main
     out = tmp_path / "out.csv"
-    path = write_config(tmp_path, scenario_text(workflow, "fields",
-                                                "omega_p", omega_p))
+    path = write_config(tmp_path, scenario_text(workflow, section, key,
+                                                value))
     code = main([path, "--output", str(out)])
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG)
@@ -725,9 +743,31 @@ def test_extreme_pump_keeps_the_exit_contract(tmp_path, capsys, workflow,
         values = np.array([[float(v) for v in l.split(",")] for l in rows])
         assert values.size and np.all(np.isfinite(values))
     elif code == EXIT_CONFIG:
-        assert err.startswith("config error: [fields] omega_p")
+        # the cell's scales derive from several of its keys
+        named = f"[{section}]" if section == "cell" else f"[{section}] {key}"
+        assert err.startswith(f"config error: {named}")
     else:
         assert err.startswith(f"numerical failure ({workflow})")
+
+
+def test_non_finite_table_is_a_numerical_failure(tmp_path, capsys,
+                                                 monkeypatch):
+    from mirrorless import cli
+    run_populations = cli._run_populations
+
+    def overflowed(cfg):
+        table = run_populations(cfg)
+        table.rows[-1, -1] = np.inf
+        return table
+
+    monkeypatch.setattr(cli, "_run_populations", overflowed)
+    out = tmp_path / "out.csv"
+    path = write_config(tmp_path, scenario_text("populations"))
+    assert cli.main([path, "--output", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure (populations): the result table holds a "
+        "non-finite value\n")
+    assert not out.exists()
 
 
 def test_parallel_spectrum_accepts_n_harmonics(tmp_path):

@@ -1,15 +1,17 @@
 """Lindblad generator, time evolution, steady states, inversion scan."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from mirrorless import (DegenerateSteadyStateError, FieldConfig, Liouvillian,
-                        build_collapse, build_liouvillian, build_scheme,
-                        equal_ground_state, evolve, inversion_scan,
-                        omega_from_saturation, pump_only_steady_state,
-                        steady_state)
+from mirrorless import (CollapseChannels, DegenerateSteadyStateError,
+                        FieldConfig, Liouvillian, build_collapse,
+                        build_liouvillian, build_scheme, equal_ground_state,
+                        evolve, inversion_scan, omega_from_saturation,
+                        pump_only_steady_state, steady_state)
 from mirrorless.levels import pump_hamiltonian
 
 from conftest import random_density_matrix
@@ -127,51 +129,21 @@ def test_undriven_null_space_reported(scheme8):
     assert err.value.dimension >= 9  # (2 F_g + 1)^2
 
 
-def test_projection_mode_keeps_dark_state(scheme8):
-    L = build_liouvillian(pump_hamiltonian(scheme8, 0.0, 0.0),
-                          build_collapse(scheme8))
-    rho0 = equal_ground_state(scheme8)
-    rho = steady_state(L, mode="project", rho0=rho0)
-    assert np.max(np.abs(rho - rho0)) < 1e-10
-    # a partially excited start projects onto branching-distributed ground
-    rho1 = np.zeros((8, 8), dtype=complex)
-    rho1[scheme8.index("excited", 0.0), scheme8.index("excited", 0.0)] = 1.0
-    rho = steady_state(L, mode="project", rho0=rho1)
-    assert rho[scheme8.index("ground", 0.0),
-               scheme8.index("ground", 0.0)].real == pytest.approx(2 / 3,
-                                                                   abs=1e-10)
-
-
-@pytest.mark.parametrize("line, mode", [((1, 2), "bogus"),
-                                        ((2, 1), "projekt")])
-def test_steady_state_rejects_unknown_mode(line, mode):
-    # a misspelt mode must not run as 'unique': on the bright 1 -> 2 line
-    # that would return a state, on the dark 2 -> 1 line it would raise
-    # DegenerateSteadyStateError and advise the mode the caller misspelt
-    scheme = build_scheme(*line)
-    L = build_liouvillian(pump_hamiltonian(scheme, 2.0, 0.5),
-                          build_collapse(scheme))
-    with pytest.raises(ValueError, match=f"unknown steady-state mode "
-                                         f"'{mode}'"):
-        steady_state(L, mode=mode, rho0=equal_ground_state(scheme))
-
-
 @pytest.mark.parametrize("line", [(2, 1), (1.5, 0.5)])
-def test_projection_on_pumped_dark_line(line, rng):
+def test_projection_on_pumped_dark_line(line):
     # the pi pump leaves the m_g = +-F_g ground states dark, so the null
-    # space is four-dimensional; the projection must be the long-time limit
+    # space is four-dimensional
     scheme = build_scheme(*line)
     L = build_liouvillian(pump_hamiltonian(scheme, 2.0, 0.5),
                           build_collapse(scheme))
     with pytest.raises(DegenerateSteadyStateError) as err:
         steady_state(L)
     assert err.value.dimension == 4
-    limit = expm(2000.0 * L.matrix)
-    for rho0 in (equal_ground_state(scheme),
-                 random_density_matrix(rng, scheme.dim)):
-        rho = steady_state(L, mode="project", rho0=rho0)
-        ref = (limit @ rho0.reshape(-1)).reshape(scheme.dim, scheme.dim)
-        assert np.max(np.abs(rho - ref)) < 1e-10
+
+
+def test_steady_state_takes_only_the_liouvillian():
+    # the state is unique or the call raises: no mode and no initial state
+    assert list(inspect.signature(steady_state).parameters) == ["L"]
 
 
 def test_steady_state_fixed_point_residual(scheme8):
@@ -278,27 +250,29 @@ def test_saturation_point_invariant(scheme8):
             p.S, abs=1e-12)
 
 
-def _random_stable_generator(rng, d):
-    # oscillation plus uniform decay, on a d x d "density matrix"
-    n = d * d
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    herm = 0.5 * (a + a.conj().T)
-    return Liouvillian(matrix=-1j * herm - 0.3 * np.eye(n), dim=d)
+def _random_lindblad_generator(rng, d):
+    # a random Hermitian H and three random collapse operators
+    def gaussian():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = gaussian()
+    sigmas = tuple(0.3 * gaussian() for _ in range(3))
+    return build_liouvillian(0.5 * (a + a.conj().T),
+                             CollapseChannels(sigmas=sigmas))
 
 
 def test_evolve_matches_scipy(rng):
-    L = _random_stable_generator(rng, 4)
-    rho0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    ev = evolve(L, rho0, 5.0, hermitize=False, n_samples=11)
+    L = _random_lindblad_generator(rng, 4)
+    rho0 = random_density_matrix(rng, 4)
+    ev = evolve(L, rho0, 5.0, n_samples=11)
     ref = solve_ivp(lambda _, y: L.matrix @ y, (0, 5.0), rho0.reshape(-1),
                     t_eval=ev.times, rtol=1e-12, atol=1e-14, method="DOP853")
     assert np.max(np.abs(ev.states.reshape(11, -1) - ref.y.T)) < 1e-8
 
 
 def test_evolve_matches_expm(rng):
-    L = _random_stable_generator(rng, 3)
-    rho0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    ev = evolve(L, rho0, 1.7, hermitize=False, n_samples=2)
+    L = _random_lindblad_generator(rng, 3)
+    rho0 = random_density_matrix(rng, 3)
+    ev = evolve(L, rho0, 1.7, n_samples=2)
     ref = expm(1.7 * L.matrix) @ rho0.reshape(-1)
     assert np.max(np.abs(ev.states[-1].reshape(-1) - ref)) < 1e-9
 
