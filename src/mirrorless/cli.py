@@ -423,7 +423,9 @@ def _run_populations(cfg: ScenarioConfig) -> ResultTable:
 
 
 def _populations_table(scheme: LevelScheme, ev) -> ResultTable:
-    """Time, every population, then (re, im) of every sigma coherence."""
+    """Time, every population, then (re, im) of every sigma coherence; the
+    provenance's ``max_trace_drift`` is the largest |Tr rho - 1| over the
+    samples."""
     cols: List[Tuple[str, str]] = [("t", "1/Gamma")]
     cols += [(f"pop_{_sublevel_label(scheme, i)}", "1")
              for i in range(scheme.dim)]
@@ -438,9 +440,11 @@ def _populations_table(scheme: LevelScheme, ev) -> ResultTable:
                       [g for _, g in sigma_pairs]]
     # (re, im) of each pair side by side, in the order of the columns
     reim = np.stack([sigma.real, sigma.imag], axis=-1)
+    pops = ev.states[:, diag, diag].real
+    drift = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
     return ResultTable(columns=cols, rows=np.column_stack(
-        [ev.times, ev.states[:, diag, diag].real,
-         reim.reshape(len(ev.times), -1)]))
+        [ev.times, pops, reim.reshape(len(ev.times), -1)]),
+        provenance={"max_trace_drift": repr(drift)})
 
 
 def _run_inversion_scan(cfg: ScenarioConfig) -> ResultTable:

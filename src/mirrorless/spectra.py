@@ -32,23 +32,27 @@ continued fraction (Risken, The Fokker-Planck Equation, ch. 9), the
 negative ones by the symmetry rho_{-m} = rho_m^H,
 leaving one square system for the mean state in which the trace condition
 replaces a population row.  The probe moves the coherence order by +-1, so
-harmonic rho_m has q = m (mod 2) and every solve of the elimination runs on
-one parity sector of about d^2 / 2 indices (72 of 144 on the 2 -> 3 line),
-read off the sublevels' m.  Every route takes the operating point its
-caller built and returns the spectrum in units of the undriven peak.
+harmonic rho_m has q = m (mod 2); the m -> -m reflection of the sublevels
+keeps the pump Liouvillian and flips the sign of the probe, so rho_m also
+has reflection parity (-1)^m.  Every solve of the elimination runs on that
+half of one parity sector, about d^2 / 4 indices (38 or 36 of 144 on the
+2 -> 3 line), built by index arithmetic on the sublevels' m.  Every route
+takes the operating point its caller built and returns the spectrum in
+units of the undriven peak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import schur
 
 from .dynamics import (DegenerateSteadyStateError, Liouvillian,
                        pump_only_steady_state, vectorize)
-from .levels import LevelScheme, probe_raising, pump_raising
+from .levels import (EXCITED, GROUND, LevelScheme, probe_raising,
+                     pump_raising)
 
 
 class CorrelationWindowError(RuntimeError):
@@ -216,10 +220,28 @@ def resolvent_spectrum(L: Liouvillian, rho_ss: np.ndarray,
     return SpectrumResult(delta=delta_grid, absorption=g / d_op.peak_norm())
 
 
-def _commutator_superoperator(V: np.ndarray) -> np.ndarray:
-    d = V.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -0.5j * (np.kron(V, eye) - np.kron(eye, V.T))
+def _reflection(scheme: LevelScheme) -> Tuple[np.ndarray, np.ndarray]:
+    """The m -> -m reflection S|F, m> = s |F, -m>, s = (-1)^(F - m) on the
+    ground and -(-1)^(F - m) on the excited manifold, acting on density
+    matrices as rho -> S rho S^H: vec index k goes to ``mirror[k]`` with
+    the sign ``sign[k]`` (an involution: both are even under it)."""
+    F = {GROUND: scheme.F_g, EXCITED: scheme.F_e}
+    mirror = np.array([scheme.index(man, -m) for man, m in scheme.sublevels])
+    s = np.array([(1 if man == GROUND else -1) * (-1) ** round(F[man] - m)
+                  for man, m in scheme.sublevels])
+    return np.add.outer(mirror * scheme.dim, mirror).ravel(), \
+        np.outer(s, s).ravel()
+
+
+def _commutator_rows(V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ``rows`` of the superoperator -i/2 [V, .] in row-major vec:
+    entry ((i, j), (k, l)) is -i/2 (V[i, k] delta_jl - delta_ik V[l, j])."""
+    d, n = V.shape[0], len(rows)
+    i, j = np.divmod(rows, d)
+    out = np.zeros((n, d, d), dtype=complex)
+    out[np.arange(n), :, j] = V[i]
+    out[np.arange(n), i, :] -= V.T[j]
+    return -0.5j * out.reshape(n, d * d)
 
 
 def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
@@ -249,11 +271,15 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     L_+ eliminates m = n ... 1, and rho_{-m} = rho_m^H the negative side.
     The remaining rho_0 system, its (0, 0) population row replaced by the
     trace row, is square and nonsingular.  L0 keeps the coherence order
-    q = m_i - m_j and L_+- move it by +-1, so rho_m lives on the indices
-    with q = m (mod 2), read off the sublevels' m: each R_m is one solve on
-    a sector of about d^2 / 2 indices and the rho_0 system one on the even
-    sector, O(n d^6 / 8) per offset against O(n d^6) on the whole space.
-    An L0 that couples an even to an odd q raises ValueError.
+    q = m_i - m_j and L_+- move it by +-1, so rho_m has q = m (mod 2).  The
+    m -> -m reflection rho -> S rho S^H (see :func:`_reflection`) commutes
+    with L0 and flips the sign of L_+-, and the steady state is even under
+    it, so rho_m also has reflection parity (-1)^m.  Each R_m is one solve
+    on that half of its parity sector and the rho_0 system one on the even
+    half, about d^2 / 4 indices (38 and 36 of 144 on the 2 -> 3 line):
+    O(n d^6 / 64) per offset against O(n d^6) on the whole space.  An L0
+    that couples an even to an odd q, or that the reflection changes, raises
+    ValueError.
 
     An offset |delta| < 1e-6 is evaluated as the mean over delta = +-1e-6,
     which cancels the spectrum's slope there: the exactly degenerate static
@@ -269,33 +295,59 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
         raise DegenerateSteadyStateError(nullity)
     delta_grid = np.asarray(delta_grid, dtype=float)
     d, L0 = scheme.dim, L.matrix
-    # sector[p]: the indices of harmonics m = p (mod 2), those of coherence
-    # order q = p (mod 2); vec index 0 is even[0].  L0 keeps each sector,
-    # L_+- swap them: into sector p from 1 - p
     m_sub = np.array([m for _, m in scheme.sublevels])
     odd_q = np.subtract.outer(m_sub, m_sub).ravel() % 2 == 1
-    sector = np.flatnonzero(~odd_q), np.flatnonzero(odd_q)
-    even, odd = sector
-    if np.any(L0[np.ix_(even, odd)]) or np.any(L0[np.ix_(odd, even)]):
+    mirror, sign = _reflection(scheme)
+    # on L0's nonzero entries: none joins an even to an odd q, and the
+    # reflection maps each onto an entry of the same value times the signs,
+    # so (being one to one) it maps L0 onto itself
+    r, c = np.nonzero(L0)
+    if np.any(odd_q[r] != odd_q[c]):
         raise ValueError("the pump Liouvillian couples even and odd "
                          "coherence orders")
+    if not np.array_equal(L0[mirror[r], mirror[c]],
+                          sign[r] * sign[c] * L0[r, c]):
+        raise ValueError("the pump Liouvillian breaks the m -> -m "
+                         "reflection")
+    # sector p holds harmonics m = p (mod 2): q = p (mod 2) and reflection
+    # parity eps = (-1)^p.  It keeps the lower index k of each pair
+    # {k, mirror[k]} and each fixed point of sign eps; x[mirror[k]] =
+    # eps sign[k] x[k] gives the rest, so the rows of an operator fold onto
+    # the sector's columns.  L0 keeps each sector, L_+- swap them
+    index = np.arange(d * d)
+    sectors = []
+    for p, eps in ((0, 1), (1, -1)):
+        keep = np.flatnonzero((odd_q == p) & ((index < mirror) | (
+            (index == mirror) & (sign == eps))))
+        sectors.append((keep, np.where(mirror[keep] == keep, 0,
+                                       eps * sign[keep])))
+
+    def fold(rows, p):
+        keep, coef = sectors[p]
+        return rows[..., keep] + coef * rows[..., mirror[keep]]
+
     d_op = perpendicular_dipole(scheme)
     Vm = d_op.d_plus * omega_pr  # drive: H_pr(t) = (Vm e^{i delta t} + h.c.)/2
-    L_plus = _commutator_superoperator(Vm)
-    L_minus = _commutator_superoperator(Vm.conj().T)
-    L0_in = [L0[np.ix_(s, s)] for s in sector]
-    hop_in = [(L_plus[np.ix_(s, t)], L_minus[np.ix_(s, t)])
-              for s, t in (sector, sector[::-1])]
+    L0_in = [fold(L0[keep], p) for p, (keep, _) in enumerate(sectors)]
+    hop_in = [tuple(fold(_commutator_rows(V, keep), 1 - p)
+                    for V in (Vm, Vm.conj().T))
+              for p, (keep, _) in enumerate(sectors)]
     # P -> Pi conj(P) Pi, Pi: vec X -> vec X^T, maps X -> P[X] to
-    # X -> P[X^H]^H; it turns L_- into L_+ and maps the even sector onto
-    # itself, as it sends q to -q
-    perm = np.arange(d * d).reshape(d, d).T.ravel()
-    local = np.empty(d * d, dtype=int)
-    local[even] = np.arange(len(even))
-    flip = np.ix_(local[perm[even]], local[perm[even]])
-    trace_row = vectorize(np.eye(d))[even]
-    unit = np.eye(len(even))[0]
-    w = vectorize(Vm.conj())[odd]  # w . rho_1[odd] = Tr[Vm^H rho_1]
+    # X -> P[X^H]^H; it turns L_- into L_+ and keeps the even sector, as it
+    # sends q to -q and commutes with the reflection.  The transpose of a
+    # kept index is kept or the mirror of one, so on the sector
+    # (Pi x)[k] = flip_sign[k] x[flip[k]]
+    even_keep = sectors[0][0]
+    local = np.full(d * d, -1)
+    local[even_keep] = np.arange(len(even_keep))
+    turned = index.reshape(d, d).T.ravel()[even_keep]
+    kept = local[turned] >= 0
+    flip = np.where(kept, local[turned], local[mirror[turned]])
+    flip_sign = np.where(kept, 1, sign[turned])
+    flip, flip_sign = np.ix_(flip, flip), np.outer(flip_sign, flip_sign)
+    trace_row = fold(vectorize(np.eye(d)), 0)
+    unit = np.eye(len(even_keep))[0]  # vec index 0 is kept first
+    w = fold(vectorize(Vm.conj()), 1)  # w . rho_1 = Tr[Vm^H rho_1]
     nh = int(n_harmonics)
 
     def point(delta):
@@ -306,7 +358,7 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
             R = np.linalg.solve(A, hop_in[m % 2][0])
             back = hop_in[(m - 1) % 2][1] @ R
         # rho_{-1} = Pi conj(R_1) Pi rho_0, so L_+ rho_{-1} = Pi conj(back) Pi rho_0
-        central = -L0_in[0] - back - back.conj()[flip]
+        central = -L0_in[0] - back - flip_sign * back.conj()[flip]
         central[0] = trace_row
         return -np.imag(w @ (R @ np.linalg.solve(central, unit)))
 

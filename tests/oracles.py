@@ -422,6 +422,13 @@ def weak_probe_oracle(L0, v_plus, deltas, n_harmonics, solver="sparse"):
     return np.array(out)
 
 
+def commutator_superoperator(V):
+    """-i/2 [V, .] as a d^2 x d^2 matrix in row-major vec, from Kronecker
+    products."""
+    eye = np.eye(V.shape[0])
+    return -0.5j * (np.kron(V, eye) - np.kron(eye, V.T))
+
+
 def weak_probe_full_oracle(L0, v_plus, deltas, n_harmonics):
     """-Im Tr[V+^H rho_1] per offset, as ``weak_probe_oracle``, from the
     matrix continued fraction on the whole d^2 space.
@@ -433,11 +440,8 @@ def weak_probe_full_oracle(L0, v_plus, deltas, n_harmonics):
     d = v_plus.shape[0]
     n = d * d
     eye = np.eye(d)
-
-    def commutator(V):
-        return -0.5j * (np.kron(V, eye) - np.kron(eye, V.T))
-
-    l_plus, l_minus = commutator(v_plus), commutator(v_plus.conj().T)
+    l_plus = commutator_superoperator(v_plus)
+    l_minus = commutator_superoperator(v_plus.conj().T)
     perm = np.arange(n).reshape(d, d).T.ravel()  # vec X -> vec X^T
     unit = np.eye(n)[0]
     out = []

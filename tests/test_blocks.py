@@ -12,15 +12,16 @@ from mirrorless import (CellConfig, DegenerateSteadyStateError, FieldConfig,
                         build_scheme, dynamics, equal_ground_state,
                         perpendicular_gain_spectrum, pump_only_steady_state,
                         steady_state, transport_coefficients)
+from mirrorless import spectra
 from mirrorless.dynamics import _pump_line
 from mirrorless.levels import probe_raising, pump_hamiltonian
-from mirrorless.spectra import (_commutator_superoperator,
-                                correlation_spectrum, parallel_dipole,
+from mirrorless.spectra import (correlation_spectrum, parallel_dipole,
                                 perpendicular_dipole, weak_probe_absorption)
 
-from oracles import (regression_oracle, steady_state_oracle,
-                     two_level_collapse, two_level_dipole,
-                     two_level_hamiltonian, weak_probe_full_oracle)
+from oracles import (commutator_superoperator, regression_oracle,
+                     steady_state_oracle, two_level_collapse,
+                     two_level_dipole, two_level_hamiltonian,
+                     weak_probe_full_oracle)
 
 # every dipole line F_g -> F_e with at most 12 sublevels
 LINES = [(fg / 2, fe / 2) for fg in range(11) for fe in (fg - 2, fg, fg + 2)
@@ -214,7 +215,7 @@ def test_regression_matches_full_schur(case):
 
 def _probe_parts(scheme):
     V = perpendicular_dipole(scheme).d_plus
-    return _commutator_superoperator(V), _commutator_superoperator(V.conj().T)
+    return commutator_superoperator(V), commutator_superoperator(V.conj().T)
 
 
 @pytest.mark.parametrize("line", BRIGHT)
@@ -234,6 +235,45 @@ def test_parity_sectors_split(line):
         assert not np.any(hop[np.ix_(even, even)]) \
             and not np.any(hop[np.ix_(odd, odd)])
     assert not np.any(np.eye(scheme.dim).ravel()[odd])
+
+
+def _reflection_superoperator(scheme):
+    # S|F, m> = s |F, -m>, s = (-1)^(F - m) on the ground and -(-1)^(F - m)
+    # on the excited manifold; rho -> S rho S^H is kron(S, S) on the
+    # row-major vec, as S is real
+    S = np.zeros((scheme.dim, scheme.dim))
+    for i, (manifold, m) in enumerate(scheme.sublevels):
+        F = scheme.F_g if manifold == "ground" else scheme.F_e
+        S[scheme.index(manifold, -m), i] = \
+            (1 if manifold == "ground" else -1) * (-1) ** round(F - m)
+    return np.kron(S, S)
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_reflection_splits_parity_sectors(line):
+    # the premise of the weak probe's halved sectors: the m -> -m
+    # reflection commutes with the pump-only L and flips the sign of the
+    # x probe, and the pump steady state is even under it, so harmonic
+    # rho_m has reflection parity (-1)^m.  Bit for bit on every line but
+    # the dark 3/2 -> 1/2, where the decay rates 1/3, 1/6 and 1/2 of the
+    # excited m = -1/2 and m = +1/2 sum in two orders and land one ulp
+    # apart
+    scheme = build_scheme(*line)
+    S = _reflection_superoperator(scheme)
+    for omega_p, delta_p in ((3.0, 1.5), (0.4, 0.0)):
+        L0 = _liouvillian(scheme, omega_p, delta_p).matrix
+        mirrored = S @ L0 @ S.T
+        if line == (1.5, 0.5):
+            assert np.max(np.abs(mirrored - L0)) \
+                <= np.finfo(float).eps * np.max(np.abs(L0))
+        else:
+            assert np.array_equal(mirrored, L0)
+        if line in BRIGHT:
+            rho = pump_only_steady_state(scheme, omega_p,
+                                         delta_p)[0].reshape(-1)
+            assert np.max(np.abs(S @ rho - rho)) <= 1e-14
+    for hop in _probe_parts(scheme):
+        assert np.array_equal(S @ hop @ S.T, -hop)
 
 
 @pytest.mark.parametrize("probe_ratio", [1e-3, 0.1], ids=["weak", "strong"])
@@ -259,3 +299,27 @@ def test_weak_probe_unsplit_pattern(scheme8):
     L = _liouvillian(scheme8, 3.0, 1.5, 0.3)
     with pytest.raises(ValueError, match="coherence orders"):
         weak_probe_absorption(scheme8, L, 0.3, np.linspace(-4.0, 4.0, 5))
+
+
+def test_weak_probe_unreflected_pattern(scheme8):
+    # a Zeeman shift 0.1 m keeps every q but breaks the m -> -m
+    # reflection: the weak probe refuses it rather than solve the wrong
+    # half of each sector
+    m = np.array([scheme8.m_of(i) for i in range(scheme8.dim)])
+    H = pump_hamiltonian(scheme8, 3.0, 1.5) + np.diag(0.1 * m)
+    L = build_liouvillian(H, build_collapse(scheme8))
+    with pytest.raises(ValueError, match="reflection"):
+        weak_probe_absorption(scheme8, L, 0.3, np.linspace(-4.0, 4.0, 5))
+
+
+@pytest.mark.parametrize("line, size", [((1, 2), 18), ((2, 3), 38)])
+def test_weak_probe_solves_halved_sectors(monkeypatch, line, size):
+    # every system of the weak probe is one reflection-parity half of a
+    # q-parity sector: at most 18 of 64 indices on 1 -> 2 and 38 of 144 on
+    # 2 -> 3, with n_harmonics + 1 solves per offset
+    scheme = build_scheme(*line)
+    _, L = pump_only_steady_state(scheme, 3.0, 1.5)
+    solves = _counted(monkeypatch, spectra.np.linalg, "solve")
+    weak_probe_absorption(scheme, L, 3e-3, [-2.0, 0.5, 1.0], n_harmonics=2)
+    assert len(solves) == 3 * 3
+    assert max(len(a[0]) for a in solves) <= size

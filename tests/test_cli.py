@@ -567,6 +567,23 @@ s_scale = log
     assert np.all(np.abs(ground - limit) <= 0.1 * rows[:, :1])
 
 
+def test_populations_report_trace_drift(tmp_path):
+    # evolve re-Hermitizes each sample but leaves the trace alone: the
+    # populations table states the largest |Tr rho - 1| over its samples,
+    # which an extreme pump drives to O(1) (last-row trace 3.85) while the
+    # preset stays at rounding level
+    extreme = parse_config(write_config(tmp_path, MINIMAL_POPULATIONS
+                                        .replace("saturation = 36",
+                                                 "omega_p = 1e15")
+                                        .replace("t_final = 2",
+                                                 "t_final = 50")
+                                        .replace("t_points = 5",
+                                                 "t_points = 201")))
+    preset = parse_config(str(PRESETS / "populations_s36.ini"))
+    assert float(run(extreme).provenance["max_trace_drift"]) >= 2.8
+    assert float(run(preset).provenance["max_trace_drift"]) <= 1e-13
+
+
 def test_propagate_preset_runs():
     cfg = parse_config(str(PRESETS / "propagate_operating_point.ini"))
     table = run(cfg)
