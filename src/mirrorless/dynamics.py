@@ -12,15 +12,15 @@ algebra is block dense: the pi pump and the three decay channels conserve
 the coherence order q = m_i - m_j, so the pump-only L is block diagonal
 (for 2 -> 3 the largest block is 22 x 22).  A :class:`Liouvillian` finds
 its blocks from its nonzero pattern, so no symmetry is assumed (a field
-that mixes q merges them), and keeps them with the singular value
-decomposition of each, which decides its null space: no caller works them
-out again.  The steady state of a general L is the one null vector of
-those decompositions, scattered back into the full vector; a null space
-of higher dimension raises.  The pump-only state needs no decomposition
-of L: a scan over the pump strength assembles L = A + omega_p B once per
-line and detuning, and each pump strength eliminates the block of the
-populations onto the ground populations, whose rate matrix is at most
-7 x 7.  Time evolution samples a uniform grid, stepping with one exact
+that mixes q merges them), and keeps them: no caller searches the pattern
+again.  The pump-only state needs no decomposition of L: a scan over the
+pump strength assembles L = A + omega_p B once per line and detuning, and
+each pump strength eliminates the block of the populations onto the
+ground populations, whose rate matrix (at most 7 x 7) also gives the
+dimension of the null space.  The steady state of a general L is the one
+null vector of one singular value decomposition per block, scattered
+back into the full vector; a null space of higher dimension raises.
+Time evolution samples a uniform grid, stepping with one exact
 propagator e^{L dt} (scaling and squaring) of the whole L.
 """
 
@@ -51,9 +51,8 @@ class DegenerateSteadyStateError(RuntimeError):
 @dataclass(frozen=True)
 class Liouvillian:
     """Dense superoperator generating the Lindblad dynamics.  The matrix is
-    not changed once built: its blocks, their singular value decompositions
-    and its nullity are worked out at most once, on first use, unless
-    :func:`pump_only_steady_state` set them."""
+    not changed once built: its blocks are found at most once, on first
+    use, unless the pump line set them."""
 
     matrix: np.ndarray  # (d*d, d*d) complex
     dim: int
@@ -67,24 +66,6 @@ class Liouvillian:
         sets b, c: the connected components of the nonzero pattern, each
         ascending, ordered by their lowest index."""
         return _components(self.matrix != 0)
-
-    @cached_property
-    def block_svds(self) -> Tuple[Tuple[Tuple[np.ndarray, ...], ...], float]:
-        """The SVD (U, s, V^H) of each block, in the order of ``blocks``,
-        and the bound at or below which the singular values span the null
-        space: 1e-10 of the largest, and the smallest one always counts."""
-        parts = tuple(np.linalg.svd(self.matrix[np.ix_(b, b)])
-                      for b in self.blocks)
-        scale = max(float(s[0]) for _, s, _ in parts) or 1.0
-        floor = min(float(s[-1]) for _, s, _ in parts)
-        return parts, max(_NULL_REL_TOL * scale, floor)
-
-    @cached_property
-    def nullity(self) -> int:
-        """Dimension of the null space, by the rule of :func:`steady_state`;
-        :func:`pump_only_steady_state` sets it to 1 with no SVD of L."""
-        parts, thresh = self.block_svds
-        return sum(int(np.count_nonzero(s <= thresh)) for _, s, _ in parts)
 
 
 @dataclass(frozen=True)
@@ -217,17 +198,20 @@ def steady_state(L: Liouvillian) -> np.ndarray:
     """Solve L[rho] = 0 with Tr rho = 1 from the SVD L = U S V^H.
 
     L is block diagonal (see :attr:`Liouvillian.blocks`), so its SVD is
-    the union of one SVD per block, which L keeps as
-    :attr:`Liouvillian.block_svds`.  Its singular values below 1e-10 of the
-    largest (the smallest one always counts) span the null space; a
-    dimension above 1 raises :class:`DegenerateSteadyStateError`.  The
-    state is the last right singular vector of the block whose last
-    singular value is smallest.
+    the union of one SVD per block, taken on each call.  Its singular
+    values below 1e-10 of the largest (the smallest one always counts)
+    span the null space; a dimension above 1 raises
+    :class:`DegenerateSteadyStateError`.  The state is the last right
+    singular vector of the block whose last singular value is smallest.
     """
-    if L.nullity > 1:
-        raise DegenerateSteadyStateError(L.nullity)
-    parts, _ = L.block_svds
-    k = min(range(len(parts)), key=lambda k: parts[k][1][-1])
+    parts = [np.linalg.svd(L.matrix[np.ix_(b, b)]) for b in L.blocks]
+    last = [float(s[-1]) for _, s, _ in parts]
+    scale = max(float(s[0]) for _, s, _ in parts) or 1.0
+    thresh = max(_NULL_REL_TOL * scale, min(last))
+    nullity = sum(int(np.count_nonzero(s <= thresh)) for _, s, _ in parts)
+    if nullity > 1:
+        raise DegenerateSteadyStateError(nullity)
+    k = int(np.argmin(last))
     vec = np.zeros(L.dim * L.dim, dtype=complex)
     vec[L.blocks[k]] = parts[k][2][-1].conj()
     # the SVD fixes no phase: divide by the complex trace first
@@ -319,13 +303,13 @@ def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
     R = -L_PQ X, the ground rate matrix of optical pumping (Happer, Rev.
     Mod. Phys. 44, 169 (1972)), holds the ground populations rho_P as its
     null vector; rho_Q = -X rho_P, and every other block is zero.  R's
-    nullity is counted by the rule of :func:`steady_state` on R's singular
-    values, which stay apart however weak the pump.  A nullity above 1 (a
-    dark or an undriven line) raises :class:`DegenerateSteadyStateError`
-    carrying L's :attr:`~Liouvillian.nullity` by that rule on L; otherwise
-    L's nullity is set to 1, and rho_P solves R with one row replaced by
-    the normalization.  The state is Hermitized, normalized and checked as
-    in :func:`steady_state`."""
+    nullity k is counted by the rule of :func:`steady_state` on R's
+    singular values, which stay apart however weak the pump.  A k above 1
+    (a dark or an undriven line) raises :class:`DegenerateSteadyStateError`
+    of dimension k^2: the null space of L is then the density matrices on
+    the k dark ground states.  Otherwise rho_P solves R with one row
+    replaced by the normalization.  The state is Hermitized, normalized
+    and checked as in :func:`steady_state`."""
     line = _pump_line(scheme, float(delta_p))
     L = line.liouvillian(omega_p)
     n = len(line.Q)
@@ -333,9 +317,9 @@ def pump_only_steady_state(scheme: LevelScheme, omega_p: float, delta_p: float
     X = np.linalg.solve(M[:n, :n], M[:n, n:])
     R = -M[n:, :n] @ X
     s = np.linalg.svd(R, compute_uv=False)
-    if np.count_nonzero(s <= max(_NULL_REL_TOL * s[0], s[-1])) > 1:
-        raise DegenerateSteadyStateError(L.nullity)
-    vars(L)["nullity"] = 1
+    k = int(np.count_nonzero(s <= max(_NULL_REL_TOL * s[0], s[-1])))
+    if k > 1:
+        raise DegenerateSteadyStateError(k * k)
     # the columns of R sum to zero (pumping conserves the population), so
     # its first row may state sum(rho_P) = 1 instead
     R[0] = 1.0

@@ -250,19 +250,18 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     """Explicit weak-probe absorption of the pump steady state of L.
 
     L is a pump Liouvillian with a unique steady state, as
-    :func:`pump_only_steady_state` returns it.  Its
-    :attr:`~mirrorless.dynamics.Liouvillian.nullity`, which
-    :func:`pump_only_steady_state` has set (any other L measures it once),
-    is checked first: a dimension above 1 (an undriven line, or a dark one)
-    raises :class:`DegenerateSteadyStateError` carrying it.  The probe
-    enters the pump-frame master equation at finite Rabi frequency
-    omega_pr through its +-i-phased couplings oscillating at the offset
-    delta; the periodic steady state is solved by harmonic
-    balance truncated at ``n_harmonics`` sidebands (nonperturbative in
-    omega_pr up to that order).  The absorption is the coherence sum of the
-    propagation analysis, i.e. the probe-synchronous part of sum_excited
-    i [mu_x, rho]_ii, scaled per unit probe intensity so it is directly
-    comparable with the regression-theorem spectrum.
+    :func:`pump_only_steady_state` returns it.  An element of rho whose
+    column of L is zero is stationary whatever the rest: more than one such
+    column (the ground states of an undriven line, or the dark ones of a
+    pumped F -> F-1 line) raises :class:`DegenerateSteadyStateError`
+    carrying their count.  The probe enters the pump-frame master equation
+    at finite Rabi frequency omega_pr through its +-i-phased couplings
+    oscillating at the offset delta; the periodic steady state is solved by
+    harmonic balance truncated at ``n_harmonics`` sidebands
+    (nonperturbative in omega_pr up to that order).  The absorption is the
+    coherence sum of the propagation analysis, i.e. the probe-synchronous
+    part of sum_excited i [mu_x, rho]_ii, scaled per unit probe intensity
+    so it is directly comparable with the regression-theorem spectrum.
 
     With rho(t) = sum_m rho_m e^{i m delta t} and L_+- = -i/2 [V_+-, .] the
     probe parts at e^{+-i delta t}, harmonic m obeys (i m delta - L0) rho_m
@@ -290,18 +289,19 @@ def weak_probe_absorption(scheme: LevelScheme, L: Liouvillian,
     if omega_pr <= 0 or n_harmonics < 1:
         raise ValueError("explicit weak-probe route requires omega_pr > 0 "
                          "and n_harmonics >= 1")
-    nullity = L.nullity
-    if nullity > 1:
-        raise DegenerateSteadyStateError(nullity)
     delta_grid = np.asarray(delta_grid, dtype=float)
     d, L0 = scheme.dim, L.matrix
     m_sub = np.array([m for _, m in scheme.sublevels])
     odd_q = np.subtract.outer(m_sub, m_sub).ravel() % 2 == 1
     mirror, sign = _reflection(scheme)
+    # an all-zero column of L0 is an element of rho that nothing moves
+    r, c = np.nonzero(L0)
+    idle = d * d - len(np.unique(c))
+    if idle > 1:
+        raise DegenerateSteadyStateError(idle)
     # on L0's nonzero entries: none joins an even to an odd q, and the
     # reflection maps each onto an entry of the same value times the signs,
     # so (being one to one) it maps L0 onto itself
-    r, c = np.nonzero(L0)
     if np.any(odd_q[r] != odd_q[c]):
         raise ValueError("the pump Liouvillian couples even and odd "
                          "coherence orders")

@@ -37,9 +37,13 @@ library code it checks:
   144 x 144 (at most) Liouvillian (the library factorizes its diagonal
   blocks one by one).  ``block_null_vectors_oracle`` decomposes every
   diagonal block in full, blocks found by scipy's connected components (the
-  library finds them by label propagation and keeps each block's SVD on
-  the Liouvillian), and ``steady_state_blocks_oracle`` is the state from
+  library finds them by label propagation and keeps them on the
+  Liouvillian), and ``steady_state_blocks_oracle`` is the state from
   its one null vector.
+* ``weak_pump_limit`` is the omega_p -> 0+ limit of the ground
+  populations in exact Fractions, from the rate matrix of pi excitation
+  and decay built from the branching ratios alone (the library eliminates
+  the whole population block at finite omega_p in double precision).
 * ``steady_state_mp_oracle`` solves the q = 0 block of a pump-only L with
   the trace row, by Gaussian elimination in 40-digit mpmath (the library
   eliminates that block onto the ground populations in double precision).
@@ -70,6 +74,7 @@ from scipy.sparse.linalg import spsolve
 from mirrorless import (CollapseChannels, DipoleOperator, build_collapse,
                         build_liouvillian, probe_raising, pump_hamiltonian,
                         pump_raising, steady_state)
+from mirrorless.angular import branching_ratios
 
 
 def _fac(n: int) -> int:
@@ -503,6 +508,32 @@ def steady_state_blocks_oracle(L):
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return rho
+
+
+def weak_pump_limit(scheme):
+    """Ground populations, m = -F_g ... F_g, as exact Fractions in the limit
+    omega_p -> 0+: the null vector of the rate matrix of pi excitation
+    followed by decay, R0[j, i] = b(e_i <- g_i) (b(e_i -> g_j) - delta_ij)
+    with e_i the excited sublevel of g_i's m, from the branching ratios
+    alone (every pi pair sees the same detuning, so the limit does not
+    depend on it).  R0 is solved with its first row replaced by ones, the
+    normalization, by Gaussian elimination in Fractions."""
+    b = branching_ratios(scheme.F_g, scheme.F_e).entries  # (2 m_e, 2 m_g)
+    tm = [round(2 * scheme.m_of(i)) for i in scheme.ground_indices]
+    n = len(tm)
+    rows = [[b.get((ti, ti), Fraction(0))
+             * (b.get((ti, tj), Fraction(0)) - (i == j))
+             for i, ti in enumerate(tm)] + [Fraction(0)]
+            for j, tj in enumerate(tm)]
+    rows[0] = [Fraction(1)] * (n + 1)
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if rows[r][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for r in range(n):
+            if r != k and rows[r][k] != 0:
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+    return [rows[k][n] / rows[k][k] for k in range(n)]
 
 
 def steady_state_mp_oracle(L, scheme, dps=40):

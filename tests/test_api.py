@@ -62,6 +62,33 @@ def test_eig_route_stays_out_of_the_program():
     assert eig_in_reference == 1
 
 
+def test_svd_route_stays_out_of_the_program():
+    # steady_state (one SVD per block of L) is the reference of the
+    # benchmark and the tests; the program's steady states come from the
+    # ground rate matrix, whose values-only SVD in pump_only_steady_state
+    # is the one other svd of the package
+    offenders, svd_in = [], []
+    for path in sorted(Path(mirrorless.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {n.name: range(n.lineno, n.end_lineno + 1)
+                   for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+                   and n.name in ("steady_state", "pump_only_steady_state")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and _name(node.func) == "steady_state":
+                offenders.append(f"{path.name}:{node.lineno} calls "
+                                 f"steady_state")
+            if _name(node) == "svd":
+                where = [name for name, lines in allowed.items()
+                         if node.lineno in lines]
+                if where:
+                    svd_in += where
+                else:
+                    offenders.append(f"{path.name}:{node.lineno} uses svd")
+    assert offenders == []
+    assert sorted(svd_in) == ["pump_only_steady_state", "steady_state"]
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -94,7 +121,7 @@ def test_every_definition_is_used_by_the_program_or_the_benchmark():
 
 
 def test_layers_use_no_private_name_of_dynamics():
-    # the spectra solve on what a Liouvillian holds, its blocks and nullity;
+    # the spectra solve on what a Liouvillian holds, its matrix and blocks;
     # they and the transport reach the pump line only through
     # pump_only_steady_state
     offenders = []

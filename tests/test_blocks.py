@@ -133,8 +133,8 @@ def test_regression_searches_no_pattern(monkeypatch, scheme12, make_dipole):
 
 def test_gain_spectrum_measures_the_null_space_once(monkeypatch, scheme12):
     # the steady state measures the null space on the 5 x 5 ground rate
-    # matrix, and the weak-probe guard reads the nullity it set on L: no
-    # SVD of L's blocks
+    # matrix, and the weak-probe guard counts L's all-zero columns: no SVD
+    # of L's blocks
     passes = _counted(monkeypatch, np.linalg, "svd",
                       lambda *a, **k: k.get("compute_uv") is False)
     perpendicular_gain_spectrum(
@@ -147,8 +147,8 @@ def test_pump_only_state_runs_no_svd_of_the_liouvillian(monkeypatch,
                                                         scheme8):
     # the pump-only path is its own exported entry (a tracer that wraps
     # the exported functions sees it as dynamics.pump_only_steady_state):
-    # it calls no steady_state, decomposes none of L's blocks, and leaves
-    # L's block SVDs unmeasured
+    # it calls no steady_state, decomposes none of L's blocks, and L holds
+    # nothing beyond its fields and its blocks
     assert "pump_only_steady_state" in mirrorless.__all__
     calls = _counted(monkeypatch, dynamics, "steady_state")
     svds = _counted(monkeypatch, np.linalg, "svd")
@@ -157,30 +157,30 @@ def test_pump_only_state_runs_no_svd_of_the_liouvillian(monkeypatch,
         omega_p=2.0, omega_pr=0.0, delta_p=0.75, delta_pr=0.75), CELL)
     assert calls == []
     assert [a[0].shape for a in svds] == [(3, 3)] * 2
-    assert L.nullity == 1 and "block_svds" not in vars(L)
+    assert sorted(vars(L)) == ["blocks", "dim", "matrix"]
 
 
 @pytest.mark.parametrize("line", [(2, 3), (2, 1)])
 def test_steady_state_decomposes_each_block_once(monkeypatch, line):
-    # the nullity and every steady state of one L read one memo: a full SVD
-    # of each block, and no values-only pass; on the dark 2 -> 1 line both
-    # steady states raise
+    # each steady state of L takes one full SVD of each block and no
+    # values-only pass, and L keeps none of them; on the dark 2 -> 1 line
+    # both steady states raise
     scheme = build_scheme(*line)
     L = _liouvillian(scheme, 2.0, 0.75)
     svds = _counted(monkeypatch, np.linalg, "svd",
                     lambda *a, **k: k.get("compute_uv", True))
     values_only = _counted(monkeypatch, np.linalg, "svd",
                            lambda *a, **k: not k.get("compute_uv", True))
-    if L.nullity == 1:
-        assert np.array_equal(steady_state(L), steady_state(L))
-    else:
+    if line == (2, 1):
         for _ in range(2):
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state(L)
-    assert (L.nullity > 1) == (line == (2, 1))
+    else:
+        assert np.array_equal(steady_state(L), steady_state(L))
     assert values_only == []
     assert sorted(a[0].shape for a in svds) \
-        == sorted((len(b), len(b)) for b in L.blocks)
+        == sorted(2 * [(len(b), len(b)) for b in L.blocks])
+    assert sorted(vars(L)) == ["blocks", "dim", "matrix"]
 
 
 @pytest.mark.parametrize("line, omega_p, delta_p",

@@ -835,8 +835,24 @@ def test_degenerate_steady_state_message(tmp_path, capsys, line, workflow,
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure ({workflow}): the F_g = "
                           f"{line[0]} -> F_e = {line[1]} line")
-    assert "null space of dimension" in err and "populations" in err
-    assert "mode='project'" not in err
+    # the density matrices on the two dark ground states of 2 -> 1, and
+    # on the three ground states of the undriven 1 -> 2
+    dimension = 4 if line == (2, 1) else 9
+    assert f"null space of dimension {dimension})" in err
+    assert "populations" in err
+
+
+def test_weakly_pumped_dark_line_message(tmp_path, capsys):
+    # at S = 1e-10 the 3 -> 2 line still has two dark ground states, and no
+    # more: the message gives the null space they span
+    from mirrorless.cli import main
+    body = ("[transition]\nf_ground = 3\nf_excited = 2\n"
+            "[fields]\ndelta_p = 0.741\n[scan]\nworkflow = inversion-scan\n"
+            "s_min = 1e-10\ns_max = 1e-9\ns_points = 2\n")
+    path = write_config(tmp_path, body)
+    assert main([path, "--output", str(tmp_path / "out.csv")]) \
+        == EXIT_NUMERICAL
+    assert "(null space of dimension 4)" in capsys.readouterr().err
 
 
 def test_benchmark_scenarios_parse(tmp_path, monkeypatch):

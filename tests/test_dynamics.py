@@ -130,7 +130,7 @@ def test_undriven_null_space_reported(scheme8):
 
 
 @pytest.mark.parametrize("line", [(2, 1), (1.5, 0.5)])
-def test_projection_on_pumped_dark_line(line):
+def test_null_space_on_pumped_dark_line(line):
     # the pi pump leaves the m_g = +-F_g ground states dark, so the null
     # space is four-dimensional
     scheme = build_scheme(*line)

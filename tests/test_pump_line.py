@@ -1,9 +1,12 @@
 """The memoized pump-only Liouvillian L(omega_p) = A + omega_p B of one line
 and detuning, bit for bit the assembled operator; its steady state by
 elimination onto the ground populations, against ``steady_state`` of that
-operator and a 40-digit solve; and ``steady_state``'s block route, bit for
-bit the per-block one, with the same null-space dimension where it
-raises."""
+operator, a 40-digit solve and the exact weak-pump limit; the null-space
+dimension k^2 from the ground rate matrix's nullity k, against the
+per-block count; and ``steady_state``'s block route, bit for bit the
+per-block one, with the same null-space dimension where it raises."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from mirrorless import (DegenerateSteadyStateError, build_collapse,
 from mirrorless.dynamics import _pump_line
 
 from oracles import (block_null_vectors_oracle, steady_state_blocks_oracle,
-                     steady_state_mp_oracle)
+                     steady_state_mp_oracle, weak_pump_limit)
 from test_blocks import BRIGHT, LINES
 
 DARK = [line for line in LINES if line not in BRIGHT]
@@ -33,6 +36,16 @@ def _dimension(solve):
     with pytest.raises(DegenerateSteadyStateError) as info:
         solve()
     return info.value.dimension
+
+
+def _rate_dimension(scheme, omega_p, delta_p):
+    """k^2 for the nullity k of the ground rate matrix: 1 where the
+    pump-only state is unique, else the dimension that it raises."""
+    try:
+        pump_only_steady_state(scheme, omega_p, delta_p)
+    except DegenerateSteadyStateError as exc:
+        return exc.dimension
+    return 1
 
 
 @pytest.mark.parametrize("delta_p", DELTAS)
@@ -62,7 +75,46 @@ def test_state_matches_extended_precision(line):
             rho, L = pump_only_steady_state(scheme, omega_p, delta_p)
             reference = steady_state_mp_oracle(L.matrix, scheme)
             assert np.max(np.abs(rho - reference)) <= 1e-15
-            assert L.nullity == 1
+
+
+@pytest.mark.parametrize("line, weights", [((1, 2), [4, 9, 4]),
+                                           ((2, 3), [36, 225, 400, 225, 36])])
+def test_weak_pump_limit_table(line, weights):
+    # the weak-pump limits of the two lines of the paper, in exact fractions
+    assert weak_pump_limit(build_scheme(*line)) \
+        == [Fraction(w, sum(weights)) for w in weights]
+
+
+# the largest |rho_P - limit| / S measured over the bright lines, these
+# pumps and detunings is 0.2500, on the 0 -> 1 line (the two-level atom);
+# the next is 0.0835, on 1/2 -> 3/2
+LIMIT_SLOPE = 0.26
+
+
+@pytest.mark.parametrize("delta_p", [0.0, 10.0])
+@pytest.mark.parametrize("line", BRIGHT)
+def test_weak_pump_approaches_exact_limit(line, delta_p):
+    # the eliminated state's ground populations tend to the exact
+    # omega_p -> 0+ limit, linearly in S = omega_p^2 / (1/4 + delta_p^2)
+    scheme = build_scheme(*line)
+    limit = np.array(weak_pump_limit(scheme), dtype=float)
+    for omega_p in (1e-5, 1.1e-3, 0.01):
+        rho, _ = pump_only_steady_state(scheme, omega_p, delta_p)
+        S = omega_p ** 2 / (0.25 + delta_p ** 2)
+        ground = np.real(np.diag(rho))[scheme.ground_indices]
+        assert np.max(np.abs(ground - limit)) <= LIMIT_SLOPE * S
+
+
+@pytest.mark.parametrize("omega_p, delta_p",
+                         [(1e-5, delta_p) for delta_p in (0.0, 0.741, 1.75,
+                                                          10.0)]
+                         + [(1.1e-3, 10.0)])
+@pytest.mark.parametrize("line", DARK)
+def test_weakly_pumped_dark_line_dimension(line, omega_p, delta_p):
+    # the two dark ground states m_g = +-F_g span a null space of dimension
+    # 4 however weak the pump, where steady_state's rule on the singular
+    # values of L's blocks counts 5 to 49
+    assert _rate_dimension(build_scheme(*line), omega_p, delta_p) == 4
 
 
 @pytest.mark.parametrize("delta_p", DELTAS)
@@ -91,16 +143,20 @@ def test_dark_line_dimension(line, omega_p, delta_p):
 
 # pumped dark lines, and undriven lines, where every ground distribution
 # is stationary
-PROJECTED = [(line, omega_p) for line in DARK for omega_p in (0.3, 2.0)] \
+DEGENERATE = [(line, omega_p) for line in DARK for omega_p in (0.3, 2.0)] \
     + [(line, 0.0) for line in LINES]
 
 
-@pytest.mark.parametrize("line, omega_p", PROJECTED)
+@pytest.mark.parametrize("line, omega_p", DEGENERATE)
 def test_projection_unchanged(line, omega_p):
     # the null space counted by the per-block oracle: one vector only on
-    # the undriven 0 -> 1 line, whose ground state is the steady state
-    L = _assembled(build_scheme(*line), omega_p, 0.741)
+    # the undriven 0 -> 1 line, whose ground state is the steady state;
+    # k^2 from the ground rate matrix is that count, 4 on the pumped dark
+    # lines and n_g^2 on the undriven ones
+    scheme = build_scheme(*line)
+    L = _assembled(scheme, omega_p, 0.741)
     nullity = len(block_null_vectors_oracle(L.matrix))
+    assert _rate_dimension(scheme, omega_p, 0.741) == nullity
     if nullity == 1:
         assert np.array_equal(steady_state(L),
                               steady_state_blocks_oracle(L.matrix))

@@ -276,8 +276,8 @@ def test_weak_probe_rejects_bad_input(scheme8, omega_pr, n_harmonics):
 
 @pytest.mark.parametrize("line", [(2, 1), (1.5, 0.5)])
 def test_weak_probe_dark_line_raises(line):
-    # the weak probe runs on the pump L whose steady state the SVD has
-    # found unique: on a dark line that search raises first
+    # the weak probe runs on the pump L whose steady state the ground rate
+    # matrix has found unique: on a dark line that count raises first
     f = FieldConfig(omega_p=3.0, omega_pr=3e-3, delta_p=0.0, delta_pr=0.0)
     with pytest.raises(DegenerateSteadyStateError) as err:
         perpendicular_gain_spectrum(build_scheme(*line), f, [0.0, 1.0])
@@ -285,11 +285,13 @@ def test_weak_probe_dark_line_raises(line):
 
 
 @pytest.mark.parametrize("line, omega_p, dimension", [((2, 1), 3.0, 4),
-                                                     ((1, 2), 0.0, 9)])
+                                                     ((1, 2), 0.0, 9),
+                                                     ((2, 1), 1e-5, 4)])
 def test_weak_probe_rejects_dark_or_undriven_liouvillian(line, omega_p,
                                                          dimension):
     # handed the pump L of a dark or an undriven line directly, the weak
-    # probe measures the null space itself, once per call
+    # probe counts the elements of rho that nothing moves, L's all-zero
+    # columns: the four on the dark m_g = +-2 pair however weak the pump
     scheme = build_scheme(*line)
     L = build_liouvillian(pump_hamiltonian(scheme, omega_p, 0.0),
                           build_collapse(scheme))
