@@ -281,8 +281,10 @@ def _pump_line(scheme: LevelScheme, delta_p: float) -> _PumpLine:
     pumped = np.kron(coupled, eye) | np.kron(eye, coupled)
     A, B = np.where(pumped, 0.0, L.matrix), np.where(pumped, L.matrix, 0.0)
     P = np.array(scheme.ground_indices) * (scheme.dim + 1)
-    Q = np.setdiff1d(np.concatenate(
-        [b for b in L.blocks if np.isin(b, P).any()]), P)
+    in_P = np.zeros(scheme.dim ** 2, dtype=bool)
+    in_P[P] = True
+    Q = np.setdiff1d(np.concatenate([b for b in L.blocks if in_P[b].any()]),
+                     P)
     QP = np.concatenate([Q, P])
     block = np.ix_(QP, QP)
     line = _PumpLine(dim=scheme.dim, A=A, B=B, blocks=L.blocks, P=P, Q=Q,

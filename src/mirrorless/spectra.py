@@ -12,9 +12,12 @@ that generates the dynamics, so the half-Fourier integral is the resolvent
 complex Schur factorizations of L with its zero mode deflated, built once per
 operating point; every regression spectrum the program computes comes from
 them.  The algebra is block dense, as in :mod:`mirrorless.dynamics`: only
-the diagonal blocks of L that both x0 and w occupy are factorized (for the
-perpendicular dipole the coherence orders q = +-1, two 20 x 20 blocks on
-the 2 -> 3 line).  The spectra are reported against the pump-probe
+the diagonal blocks of L that both x0 and w occupy are factorized, and one
+factorization serves each conjugate pair of them.  A Lindblad L maps rho^H
+to L[rho]^H, so under the transpose (i, j) -> (j, i) of the vec indices the
+block of coherence order -q is the complex conjugate of that of q: for the
+perpendicular dipole the blocks q = +-1, one 20 x 20 Schur form on the
+2 -> 3 line.  The spectra are reported against the pump-probe
 frequency offset delta = omega_p - omega_pr (so delta = -omega relative to
 the driving frame) and normalized so the undriven absorption Lorentzian
 peaks at 1.  Positive values mean attenuation; negative values mean probe
@@ -127,12 +130,12 @@ _UNDAMPED_WEIGHT_TOL = 1e-8
 
 def _shifted_back_substitution(T: np.ndarray, z: np.ndarray,
                                shifts: np.ndarray) -> np.ndarray:
-    """Rows y_j solving (T + shifts_j) y_j = z, T upper triangular: one
+    """Rows y_j solving (T + shifts_j) y_j = z_j, T upper triangular: one
     back substitution over all shifts at once."""
-    k = len(z)
-    y = np.empty((len(shifts), k), dtype=complex)
+    k = len(T)
+    y = np.empty(z.shape, dtype=complex)
     for i in range(k - 1, -1, -1):
-        y[:, i] = (z[i] - y[:, i + 1:] @ T[i, i + 1:]) / (T[i, i] + shifts)
+        y[:, i] = (z[:, i] - y[:, i + 1:] @ T[i, i + 1:]) / (T[i, i] + shifts)
     return y
 
 
@@ -146,15 +149,36 @@ def _regression_engine(L: Liouvillian, rho_ss: np.ndarray,
     # every population, since each such block has its trace row as a left
     # null vector, and L's unique null vector rho_ss lies in it
     thresh = -_UNDAMPED_REL_TOL * max(np.linalg.norm(M, 1), 1.0)
+    # L[rho^H] = L[rho]^H: on the vec indices turned by (i, j) -> (j, i),
+    # a block's partner (coherence order -q for q) is its conjugate
+    turned = np.arange(L.dim ** 2).reshape(L.dim, L.dim).T.ravel()
+    label = np.empty(L.dim ** 2, dtype=int)
+    for n, b in enumerate(L.blocks):
+        label[b] = n
+    # the blocks that both x0 and w occupy; every other block adds exactly
+    # zero to w . (M - i delta)^-1 x0
+    live = (np.bincount(label[x0 != 0], minlength=len(L.blocks)) > 0) \
+        & (np.bincount(label[w != 0], minlength=len(L.blocks)) > 0)
     factors, undamped = [], 0.0
-    for b in L.blocks:
-        if not (np.any(x0[b]) and np.any(w[b])):
-            continue  # the block adds exactly zero to w . (M - i delta)^-1 x0
-        T, Z, k = schur(M[np.ix_(b, b)], output="complex",
+    for n, b in enumerate(L.blocks):
+        if not live[n]:
+            continue
+        Mb = M[np.ix_(b, b)]
+        T, Z, k = schur(Mb, output="complex",
                         sort=lambda lam: lam.real < thresh)
-        z = Z.conj().T @ x0[b]
-        undamped += float(np.linalg.norm(z[k:])) ** 2
-        factors.append((T[:k, :k], w[b] @ Z[:, :k], z[:k]))
+        Zh = Z.conj().T
+        terms = [(w[b] @ Z[:, :k], Zh @ x0[b])]
+        p = turned[b]
+        m = label[p[0]]
+        if m != n and live[m] and np.array_equal(np.sort(p), L.blocks[m]) \
+                and np.array_equal(M[np.ix_(p, p)], Mb.conj()):
+            # M_p = conj(Z T Z^H): the same T and damped split k serve the
+            # partner, at the opposite shifts (see correlation_spectrum)
+            live[m] = False
+            terms.append((w[p].conj() @ Z[:, :k], Zh @ x0[p].conj()))
+        for _, z in terms:
+            undamped += float(np.linalg.norm(z[k:])) ** 2
+        factors.append((T[:k, :k], [(u, z[:k]) for u, z in terms]))
     x_norm = float(np.linalg.norm(x0))
     weight = np.sqrt(undamped) / x_norm if x_norm else 0.0
     if weight > _UNDAMPED_WEIGHT_TOL:
@@ -162,9 +186,15 @@ def _regression_engine(L: Liouvillian, rho_ss: np.ndarray,
 
     def evaluate(delta_grid: np.ndarray) -> np.ndarray:
         shifts = -1j * np.asarray(delta_grid, dtype=float)
-        g = np.zeros(len(shifts))
-        for T, u, z in factors:
-            g -= np.real(_shifted_back_substitution(T, z, shifts) @ u)
+        n = len(shifts)
+        g = np.zeros(n)
+        for T, terms in factors:
+            # the pair's second term takes the opposite shifts
+            y = _shifted_back_substitution(
+                T, np.repeat([z for _, z in terms], n, axis=0),
+                np.concatenate([shifts, -shifts][:len(terms)]))
+            for r, (u, _) in enumerate(terms):
+                g -= np.real(y[r * n:(r + 1) * n] @ u)
         return g
 
     return evaluate
@@ -182,7 +212,12 @@ def correlation_spectrum(L: Liouvillian, rho_ss: np.ndarray,
     x0 and w occupy is factorized once by a complex Schur decomposition
     ordered damped modes first (the other blocks add exactly zero), so the
     whole offset grid costs one back substitution per block on its damped
-    part and no window or sampling error enters.  If more than 1e-8 of
+    part and no window or sampling error enters.  As L[rho^H] = L[rho]^H,
+    a block whose transposed indices hold exactly its complex conjugate
+    (coherence order -q against q) shares its partner's factors: with
+    M_b = Z T Z^H the partner adds the conjugate of u' . (T + i delta)^-1 z',
+    u' = conj(w_p) Z and z' = Z^H conj(x0_p), in the same back
+    substitution with the opposite shifts.  If more than 1e-8 of
     x0's norm lies off the damped invariant subspaces (modes with
     Re lambda >= -1e-10 |M|_1) of those blocks, the correlation never
     decays and :class:`CorrelationWindowError` reports that relative weight.

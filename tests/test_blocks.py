@@ -1,6 +1,7 @@
 """Coherence-order blocks and the weak probe's parity sectors: structure,
-the blocked and sector routes against the full-matrix oracles, and the
-block searches and null-space passes that a Liouvillian's memos save."""
+the blocked and sector routes against the full-matrix oracles, the block
+searches and null-space passes that a Liouvillian's memos save, and the
+Schur forms that conjugate blocks share in the regression engine."""
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from mirrorless import (CellConfig, DegenerateSteadyStateError, FieldConfig,
                         steady_state, transport_coefficients)
 from mirrorless import spectra
 from mirrorless.dynamics import _pump_line
-from mirrorless.levels import probe_raising, pump_hamiltonian
-from mirrorless.spectra import (correlation_spectrum, parallel_dipole,
-                                perpendicular_dipole, weak_probe_absorption)
+from mirrorless.levels import probe_raising, pump_hamiltonian, pump_raising
+from mirrorless.spectra import (_N_REFINE, _argmin_lowest,
+                                correlation_spectrum, min_absorption_scan,
+                                parallel_dipole, perpendicular_dipole,
+                                weak_probe_absorption)
 
 from oracles import (commutator_superoperator, regression_oracle,
                      steady_state_oracle, two_level_collapse,
@@ -203,14 +206,94 @@ def _spectrum_cases():
         rho, L = pump_only_steady_state(scheme, omega, delta)
         yield L, rho, parallel_dipole(scheme)
         yield L, rho, perpendicular_dipole(scheme)
+    # the perpendicular dipole on the other eight bright lines
+    for line in BRIGHT:
+        if line not in ((1, 2), (2, 3)):
+            scheme = build_scheme(*line)
+            rho, L = pump_only_steady_state(scheme, 2.5, 0.75)
+            yield L, rho, perpendicular_dipole(scheme)
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(14))
 def test_regression_matches_full_schur(case):
     L, rho, d_op = list(_spectrum_cases())[case]
     grid = np.linspace(-9.0, 9.0, 181)
     g = correlation_spectrum(L, rho, d_op, grid).absorption * d_op.peak_norm()
     assert _close(g, regression_oracle(L.matrix, rho, d_op.d_plus, grid))
+
+
+# sizes of the Schur forms of one regression spectrum, per bright line: the
+# perpendicular dipole's two live blocks q = +-1 are transposes of each
+# other, so one form serves both, but on 0 -> 1 and 1 -> 1 they are mirror
+# images (equal in size, not transposes) and take one each; the parallel
+# dipole's q = 0 block is its own partner
+SCHUR_SIZES = {(0, 1): ([2, 2], [6]), (0.5, 0.5): ([4], [8]),
+               (0.5, 1.5): ([8], [10]), (1, 1): ([4, 4], [10]),
+               (1, 2): ([12], [14]), (1.5, 1.5): ([12], [16]),
+               (1.5, 2.5): ([16], [18]), (2, 2): ([16], [18]),
+               (2, 3): ([20], [22]), (2.5, 2.5): ([20], [24])}
+
+
+@pytest.mark.parametrize("line", BRIGHT)
+def test_one_schur_form_per_conjugate_pair(monkeypatch, line):
+    scheme = build_scheme(*line)
+    rho, L = pump_only_steady_state(scheme, 3.0, 0.75)
+    forms = _counted(monkeypatch, spectra, "schur")
+    for make_dipole, sizes in zip((perpendicular_dipole, parallel_dipole),
+                                  SCHUR_SIZES[line]):
+        forms.clear()
+        correlation_spectrum(L, rho, make_dipole(scheme),
+                             np.linspace(-6.0, 6.0, 7))
+        assert [len(a[0]) for a in forms] == sizes
+
+
+def test_unpaired_block_is_factorized_alone(monkeypatch, scheme8):
+    # damp the q = -1 coherences a little more than the q = +1 ones: the
+    # two blocks are no longer conjugate, and each takes its own Schur form
+    rho, L = pump_only_steady_state(scheme8, 3.0, 0.75)
+    A = L.matrix.copy()
+    lower = np.flatnonzero(_coherence_order(scheme8) == -1)
+    A[lower, lower] -= 0.05
+    d_op = perpendicular_dipole(scheme8)
+    grid = np.linspace(-9.0, 9.0, 181)
+    forms = _counted(monkeypatch, spectra, "schur")
+    g = correlation_spectrum(Liouvillian(matrix=A, dim=scheme8.dim), rho,
+                             d_op, grid).absorption * d_op.peak_norm()
+    assert [len(a[0]) for a in forms] == [12, 12]
+    assert _close(g, regression_oracle(A, rho, d_op.d_plus, grid))
+    assert not _close(g, regression_oracle(L.matrix, rho, d_op.d_plus, grid),
+                      1e-3)
+
+
+@pytest.mark.parametrize("delta_p", [0.0, 0.75])
+@pytest.mark.parametrize("line", [(1, 2), (2, 3)])
+def test_min_absorption_matches_oracle_minimum(line, delta_p):
+    # the scan's coarse grid and its refinement, with the spectra from one
+    # Schur form of the whole M: the same offset of the minimum
+    scheme = build_scheme(*line)
+    d_op = perpendicular_dipole(scheme)
+    omegas = np.linspace(0.3, 6.0, 5)
+    scan = min_absorption_scan(scheme, delta_p, omegas)
+    wmax = np.max(np.abs(pump_raising(scheme)))
+
+    def oracle(L, rho, grid):
+        return regression_oracle(L.matrix, rho, d_op.d_plus,
+                                 grid) / d_op.peak_norm()
+
+    for omega_p, point in zip(omegas, scan.points):
+        rho, L = pump_only_steady_state(scheme, omega_p, delta_p)
+        span = np.sqrt((wmax * omega_p) ** 2 + delta_p ** 2) \
+            + abs(delta_p) + 8.0
+        grid = np.linspace(-span, span, 321)
+        a = oracle(L, rho, grid)
+        i = _argmin_lowest(a)
+        step = grid[1] - grid[0]
+        fine = np.linspace(grid[i] - 1.5 * step, grid[i] + 1.5 * step,
+                           _N_REFINE)
+        a_fine = oracle(L, rho, fine)
+        j = _argmin_lowest(a_fine)
+        at = min((a[i], grid[i]), (a_fine[j], fine[j]))[1]
+        assert point.delta_at_min == at
 
 
 def _probe_parts(scheme):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from mirrorless import (DegenerateSteadyStateError, build_collapse,
                         build_liouvillian, build_scheme, pump_hamiltonian,
@@ -163,6 +164,22 @@ def test_projection_unchanged(line, omega_p):
     else:
         assert _dimension(lambda: steady_state(L)) == nullity
     assert (nullity == 1) == (line == (0, 1))
+
+
+@pytest.mark.parametrize("delta_p", DELTAS)
+@pytest.mark.parametrize("line", LINES)
+def test_population_block_indices(line, delta_p):
+    # P: the ground populations; Q: every other index of a weak component
+    # of the assembled pattern that holds one of them
+    scheme = build_scheme(*line)
+    pumped = _pump_line(scheme, delta_p)
+    _, labels = connected_components(
+        _assembled(scheme, 1.0, delta_p).matrix != 0, connection="weak")
+    P = np.array(scheme.ground_indices) * (scheme.dim + 1)
+    held = np.isin(labels, labels[P])
+    held[P] = False
+    assert np.array_equal(pumped.P, P)
+    assert np.array_equal(pumped.Q, np.flatnonzero(held))
 
 
 def test_memo_read_only_and_bounded(scheme8):
